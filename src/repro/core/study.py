@@ -5,16 +5,19 @@ the whole simulated stack — cluster, CUDA contexts under the visibility
 policy, MPI/NCCL backend, Horovod engine — and walks training steps of the
 paper's workload (EDSR, batch 4/GPU, 48x48 LR patches):
 
-``step = forward + max(backward_with_stragglers, comm_finish) + update``
+``step = forward + max(backward_with_stragglers, comm_finish) + blocking + update``
 
 where ``comm_finish`` comes from the Horovod engine running the model's
 real gradient-readiness schedule through Tensor Fusion and the backend's
-collective algorithms.
+collective algorithms.  One executor walks every multi-GPU point: a small
+periodic *step plan* (every-step gradient sync, local-SGD periods, video
+sequences; the hybrid executor hands in its own constants) says what each
+step does, and a fault plan perturbs the same loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.core.calibration import (
     COMPUTE_JITTER_SIGMA,
@@ -40,6 +43,12 @@ from repro.mpi.process import WorldSpec
 from repro.parallel.layout import ParallelLayout
 from repro.profiling.hvprof import Hvprof
 from repro.utils.seeding import SeedSequenceFactory
+
+# Step kinds of a step plan (see ScalingStudy.step_plan).
+LOCAL = "local"  # forward + backward + update, no communication
+FRAME = "frame"  # forward + backward only: a BPTT frame defers the update
+PARAMS = "params"  # parameter-averaging sync after the backward (local-SGD)
+GRADS = "grads"  # gradient allreduce overlapped with the backward
 
 
 @dataclass(frozen=True)
@@ -140,9 +149,10 @@ class StudyConfig:
             )
         if self.workload.is_temporal and self.local_sgd_h > 1:
             raise ConfigError(
-                "temporal (video) workloads already own the periodic step "
-                "structure; they do not compose with local-SGD "
-                f"(local_sgd_h={self.local_sgd_h})"
+                "temporal (video) workloads do not compose with local-SGD "
+                f"(local_sgd_h={self.local_sgd_h}): a step plan has one "
+                "period, and a video sequence already syncs gradients at "
+                "its boundary where local-SGD would average parameters"
             )
         if self.workload.is_temporal and self.workload.frames > self.measure_steps:
             # a measurement window shorter than one sequence would never
@@ -165,9 +175,14 @@ class ScalingPoint:
 
     scenario: str
     num_gpus: int
+    # Clean points: num_gpus * batch / step_time.  Fault points:
+    # sum(world_size * batch) / sum(step time) over the measured steps, so
+    # steps on a shrunk world count the images they really processed.
     images_per_second: float
     step_time: float
     forward_time: float
+    # Fault points (run under a fault plan) report the un-inflated
+    # backward; clean points report it with the straggler factor applied.
     backward_time: float
     exposed_comm_time: float
     coordination_time: float
@@ -177,8 +192,10 @@ class ScalingPoint:
     message_sizes: list[int] = field(default_factory=list)
     regcache_hit_rate: float | None = None
     efficiency: float | None = None
-    # Steady-state bookkeeping: how many measure steps were actually
-    # simulated vs extrapolated at the converged per-step time.
+    # Steady-state bookkeeping: how many steps were actually simulated vs
+    # extrapolated at the converged per-step time.  Clean points count
+    # measure steps only; fault points also count warm-up steps and steps
+    # replayed after a restart.
     simulated_steps: int = 0
     extrapolated_steps: int = 0
     # Recovery report for runs under a fault plan: the itemized
@@ -202,11 +219,11 @@ class ScalingPoint:
 class ScalingStudy:
     """Runs the paper's weak-scaling experiment for one scenario.
 
-    With a ``fault_plan``, each point runs the elastic-recovery loop
-    instead of the clean steady-state loop: rank failures are detected by
-    a heartbeat supervisor, absorbed per the ``recovery`` policy
-    (restart-from-checkpoint on the shrunk world by default), and every
-    second of overhead is itemized into the point's ``resilience`` report.
+    With a ``fault_plan``, elastic recovery perturbs each multi-GPU
+    point's step loop: rank failures are detected by a heartbeat
+    supervisor, absorbed per the ``recovery`` policy (restart-from-
+    checkpoint on the shrunk world by default), and every second of
+    overhead is itemized into the point's ``resilience`` report.
     """
 
     def __init__(
@@ -222,12 +239,6 @@ class ScalingStudy:
         self.fault_plan = fault_plan
         self.recovery = recovery
         workload = self.config.workload
-        if fault_plan is not None and not workload.is_degenerate:
-            raise ConfigError(
-                "fault plans support only the default workload scenario "
-                f"for now, got {workload.name!r}; run the resilience study "
-                "on the single-image workload"
-            )
         if workload.is_degenerate:
             # the paper's workload: the registered cost model, unchanged —
             # every pre-existing simulated anchor stays bit-identical
@@ -241,9 +252,6 @@ class ScalingStudy:
             )
         self.throughput = ThroughputModel(self.cost, self.config.cluster.node.gpu)
         self.memory = TrainingMemoryModel(self.cost)
-        # lazily-built hybrid executor; shared across this study's points
-        # so its steady-state detector can guard layout changes mid-sweep
-        self._hybrid = None
 
     def batch_for(self, num_gpus: int) -> int:
         """Per-GPU batch at this scale (weak: constant; strong: shrinking)."""
@@ -274,15 +282,16 @@ class ScalingStudy:
         )
 
     def _gradient_stream(
-        self, backward_time: float, rng=None
+        self, backward_time: float, rng=None, cost: ModelCostModel | None = None
     ) -> list[PendingTensor]:
-        """Per-tensor readiness; optional per-step jitter.
+        """Per-tensor readiness of ``cost``'s gradients (the study's model
+        by default); optional per-step jitter.
 
         Real backward passes jitter a few percent step to step, so fusion
         groups (and hence message sizes / registration extents) vary — the
         reason the paper's registration-cache hit rate is ~93%, not ~100%.
         """
-        schedule = self.cost.gradient_schedule()
+        schedule = (self.cost if cost is None else cost).gradient_schedule()
         if rng is None:
             noise = [0.0] * len(schedule)
         else:
@@ -401,41 +410,46 @@ class ScalingStudy:
             cache.put(digest, point_payload(point))
         return point
 
+    def step_plan(self) -> tuple[str, ...]:
+        """One period of this study's step schedule; step ``i`` runs
+        ``plan[i % len(plan)]``.
+
+        Synchronous SGD syncs gradients every step; local-SGD runs H-1
+        communication-free local steps, then a parameter-averaging sync;
+        video BPTT runs T-1 frame steps (forward+backward only, carrying
+        the recurrent state), then a sequence-boundary step that drains the
+        accumulated gradient and applies the one update per sequence.
+        """
+        H, T = self.config.local_sgd_h, self.config.workload.frames
+        if H > 1:
+            return (LOCAL,) * (H - 1) + (PARAMS,)
+        return (FRAME,) * (T - 1) + (GRADS,)
+
     def _run_point(
         self, num_gpus: int, *, hvprof: Hvprof | None = None
     ) -> ScalingPoint:
-        if not self.config.layout.is_pure_dp:
+        cfg = self.config
+        if not cfg.layout.is_pure_dp:
             if self.fault_plan is not None:
                 raise ConfigError(
-                    "hybrid (tp/pp) layouts do not support fault plans yet; "
-                    "run the resilience study data-parallel"
+                    "hybrid (tp/pp) layouts do not compose with fault plans: "
+                    "a failed rank takes down a dp replica spread over tp*pp "
+                    "ranks, and shrinking such a replica has no defined "
+                    "semantics; run the resilience study data-parallel"
                 )
-            if self._hybrid is None:
-                from repro.parallel.executor import HybridExecutor
+            from repro.parallel.executor import HybridExecutor
 
-                self._hybrid = HybridExecutor(self)
-            return self._hybrid.run(
-                num_gpus, self.config.layout, hvprof=hvprof
-            )
-        if self.fault_plan is not None and num_gpus > 1:
-            return self._run_point_faulty(num_gpus, hvprof=hvprof)
-        cfg = self.config
+            return HybridExecutor(self).run(num_gpus, cfg.layout, hvprof=hvprof)
         batch = self.batch_for(num_gpus)
         if cfg.check_memory:
             self.check_memory_feasible(batch)
         forward = self.throughput.forward_time(batch)
         backward = self.throughput.backward_time(batch)
         update = self._update_time()
-        T = cfg.workload.frames
-        workload_payload = (
-            None if cfg.workload.is_degenerate else cfg.workload.to_payload()
-        )
         if num_gpus == 1:
-            if T > 1:
-                # one update per sequence, amortized over the frame steps
-                step = forward + backward + update / T
-            else:
-                step = forward + backward + update
+            # no communication; a video sequence amortizes its one update
+            # over the frame steps (``update / 1`` is exact for images)
+            step = forward + backward + update / cfg.workload.frames
             return ScalingPoint(
                 scenario=self.scenario.name,
                 num_gpus=1,
@@ -448,541 +462,185 @@ class ScalingStudy:
                 update_time=update,
                 blocking_time=0.0,
                 comm_wall_time=0.0,
-                workload=workload_payload,
+                workload=self._workload_payload(),
             )
         cluster = build_cluster(cfg.cluster, num_gpus)
-        world_spec = WorldSpec(
-            num_ranks=num_gpus,
-            policy=self.scenario.policy,
-            config=self.scenario.mv2,
+        return self._execute(
+            num_gpus,
+            batch,
+            self.step_plan(),
+            cluster=cluster,
+            ranks=num_gpus,
+            forward=forward,
+            backward=backward
+            * straggler_factor(num_gpus, sigma=cfg.jitter_sigma),
+            update=update,
+            grad_cost=self.cost,
+            recovery=(
+                None if self.fault_plan is None
+                else _ElasticRecovery(self, cluster, num_gpus, backward)
+            ),
+            hvprof=hvprof,
         )
-        world, comm = build_backend(
-            cluster, self.scenario.backend, world_spec=world_spec, num_ranks=num_gpus
-        )
-        if cfg.engine_mode == "fast":
-            from repro.sim.fastpath import enable_fastpath
 
-            enable_fastpath(world)
-        if hvprof is not None:
-            comm.add_observer(hvprof.observer)
-        engine = HorovodEngine(
-            comm, cfg.horovod,
-            compression=CompressionConfig.parse(cfg.compression),
-        )
-        backward_eff = backward * straggler_factor(num_gpus, sigma=cfg.jitter_sigma)
-        transport = getattr(world, "transport", None)
+    def _workload_payload(self) -> dict | None:
+        workload = self.config.workload
+        return None if workload.is_degenerate else workload.to_payload()
+
+    def _execute(
+        self,
+        num_gpus: int,
+        batch: int,
+        plan: tuple[str, ...],
+        *,
+        cluster,
+        ranks: int,
+        forward: float,
+        backward: float,
+        update: float,
+        grad_cost: ModelCostModel,
+        sync_step: float = 0.0,
+        recovery: _ElasticRecovery | None = None,
+        hvprof: Hvprof | None = None,
+    ) -> ScalingPoint:
+        """Walk ``warmup_steps + measure_steps`` steps of ``plan``.
+
+        The one step loop behind every multi-GPU point.  ``ranks`` ranks of
+        ``cluster`` (``None`` for a single rank: no world, no
+        communication) run the Horovod engine; ``backward`` is the
+        straggler-inflated backward of the full world, ``sync_step`` the
+        hybrid layout's per-step tp sync, and ``grad_cost`` whose gradient
+        schedule the engine reduces.  A ``recovery`` hook perturbs the loop
+        under a fault plan: it polls the supervisor before every step,
+        shrinks, restarts or regrows the world, and sets the per-step
+        backward from the live ranks' compute factors.
+        """
+        cfg = self.config
+        period = len(plan)
+        world = engine = transport = session = None
+        if cluster is not None:
+            world, comm = build_backend(
+                cluster,
+                self.scenario.backend,
+                world_spec=WorldSpec(
+                    num_ranks=ranks,
+                    policy=self.scenario.policy,
+                    config=self.scenario.mv2,
+                ),
+                num_ranks=ranks,
+                # a clean point attaches no injector at all: an attached one
+                # keys the fast path's memo on the simulation clock
+                faults=None if recovery is None else recovery.injector,
+            )
+            if cfg.engine_mode == "fast":
+                from repro.sim.fastpath import enable_fastpath
+
+                session = enable_fastpath(world)
+            if hvprof is not None:
+                comm.add_observer(hvprof.observer)
+            engine = HorovodEngine(
+                comm, cfg.horovod,
+                compression=CompressionConfig.parse(cfg.compression),
+            )
+            transport = getattr(world, "transport", None)
+        # Steady-state extrapolation only makes sense in performance mode:
+        # a profiler is counting per-step ops, so every step must be real.
+        # A periodic plan converges on whole-period sums and replays each
+        # phase's value; extrapolated steps skip the engine.
+        steady = None
+        if (
+            cfg.steady_detect
+            and hvprof is None
+            and cfg.measure_steps > cfg.steady_window
+        ):
+            from repro.perf.steady import PeriodicSteadyState, SteadyStateDetector
+
+            window = (cfg.steady_window, cfg.steady_rel_tol)
+            steady = (
+                SteadyStateDetector(*window) if period == 1
+                else PeriodicSteadyState(period, *window)
+            )
+        if recovery is not None:
+            recovery.attach(engine, session, steady)
         # seeded independently of the scenario so that scenario comparisons
         # (Figs. 10-12) see identical per-step jitter (paired runs)
         rng = SeedSequenceFactory(2021).generator("gradient-jitter", num_gpus)
-        H = cfg.local_sgd_h
-        timing: StepTiming | None = None
-        if H > 1 or T > 1:
-            # a short run may end before any sync boundary fires; the
-            # point's comm fields then report the zero-comm local regime
-            timing = StepTiming(
-                backward_time=backward_eff, comm_finish=0.0,
-                coordination_time=0.0,
-            )
-        step_times = []
+        # a run whose every step is communication-free reports the
+        # zero-comm regime
+        timing = StepTiming(
+            backward_time=backward, comm_finish=0.0, coordination_time=0.0
+        )
         blocking = 0.0
-        # Steady-state extrapolation only makes sense in performance mode:
-        # a profiler is counting per-step ops, so every step must be real.
-        detector = None
-        periodic = None
-        if (
-            cfg.steady_detect
-            and hvprof is None
-            and cfg.measure_steps > cfg.steady_window
-        ):
-            if H > 1 or T > 1:
-                from repro.perf.steady import PeriodicSteadyState
-
-                # local-SGD and temporal sequences are mutually exclusive
-                # (StudyConfig rejects the combination), so the active
-                # cadence is whichever period exceeds one
-                periodic = PeriodicSteadyState(
-                    max(H, T), cfg.steady_window, cfg.steady_rel_tol
-                )
+        extrapolated = 0
+        records: list[float] = []  # per-step time; truncated on restart
+        while len(records) < cfg.warmup_steps + cfg.measure_steps:
+            bwd = backward if recovery is None else recovery.before_step(records)
+            step_index = len(records)  # after any restart truncation
+            kind = plan[step_index % period]
+            if kind == GRADS:
+                # drawn even for extrapolated steps: the jitter RNG consumes
+                # the same draws as a full run, so a resumption after a
+                # re-arm stays aligned with exact simulation
+                stream = self._gradient_stream(bwd, rng=rng, cost=grad_cost)
+            extrapolating = steady is not None and steady.converged()
+            if extrapolating:
+                step = steady.phase_value(step_index)
+                extrapolated += 1
+            elif kind == FRAME:
+                step = forward + bwd
+            elif kind == LOCAL:
+                step = forward + bwd + update
             else:
-                from repro.perf.steady import SteadyStateDetector
-
-                detector = SteadyStateDetector(
-                    cfg.steady_window, cfg.steady_rel_tol
-                )
-        next_phase = 0
-        for step_index in range(cfg.warmup_steps + cfg.measure_steps):
-            if H > 1:
-                # local-SGD: H-1 communication-free steps, then a
-                # parameter-averaging sync priced through the engine
-                if (step_index + 1) % H == 0:
+                comm_finish = 0.0
+                if engine is not None:
                     staged_before = (
                         transport.max_staged_seconds() if transport else 0.0
                     )
+                    if kind == PARAMS:
+                        stream = self._parameter_stream()
                     timing = engine.run_step(
-                        self._parameter_stream(),
-                        backward_time=0.0,
-                        force_dense=True,
+                        stream,
+                        backward_time=0.0 if kind == PARAMS else bwd,
+                        force_dense=kind == PARAMS,
                     )
+                    # Pageable staging copies block the GPU stream: charge
+                    # the busiest rank's staging time serially.
                     staged_delta = (
                         transport.max_staged_seconds() - staged_before
                         if transport else 0.0
                     )
                     blocking = staged_delta * PAGEABLE_BLOCKING_FACTOR
-                    step = (
-                        forward + backward_eff + blocking + update
-                        + timing.comm_finish
-                    )
+                    comm_finish = timing.comm_finish
+                if kind == PARAMS:
+                    # weights average after the backward, not under it
+                    step = forward + bwd + blocking + update + comm_finish
                 else:
-                    step = forward + backward_eff + update
-                if step_index >= cfg.warmup_steps:
-                    step_times.append(step)
-                    if (
-                        periodic is not None
-                        and len(step_times) < cfg.measure_steps
-                    ):
-                        periodic.observe(step, step_index % H)
-                        if periodic.converged():
-                            next_phase = (step_index + 1) % H
-                            break
-                continue
-            if T > 1:
-                # temporal BPTT over a T-frame sequence: T-1 frame steps
-                # run forward+backward only, carrying the recurrent state;
-                # the sequence boundary drains the accumulated gradient
-                # through the engine (overlapped with the last backward)
-                # and applies the one optimizer update per sequence
-                if (step_index + 1) % T == 0:
-                    stream = self._gradient_stream(backward_eff, rng=rng)
-                    staged_before = (
-                        transport.max_staged_seconds() if transport else 0.0
-                    )
-                    timing = engine.run_step(
-                        stream, backward_time=backward_eff
-                    )
-                    staged_delta = (
-                        transport.max_staged_seconds() - staged_before
-                        if transport else 0.0
-                    )
-                    blocking = staged_delta * PAGEABLE_BLOCKING_FACTOR
                     step = (
                         forward
-                        + max(backward_eff, timing.comm_finish)
+                        + max(bwd, comm_finish)
                         + blocking
+                        + sync_step
                         + update
                     )
-                else:
-                    step = forward + backward_eff
-                if step_index >= cfg.warmup_steps:
-                    step_times.append(step)
-                    if (
-                        periodic is not None
-                        and len(step_times) < cfg.measure_steps
-                    ):
-                        periodic.observe(step, step_index % T)
-                        if periodic.converged():
-                            next_phase = (step_index + 1) % T
-                            break
-                continue
-            stream = self._gradient_stream(backward_eff, rng=rng)
-            staged_before = transport.max_staged_seconds() if transport else 0.0
-            timing = engine.run_step(stream, backward_time=backward_eff)
-            # Pageable staging copies block the GPU stream: charge the
-            # busiest rank's staging time serially against the step.
-            staged_delta = (
-                transport.max_staged_seconds() - staged_before if transport else 0.0
-            )
-            blocking = staged_delta * PAGEABLE_BLOCKING_FACTOR
-            step = (
-                forward
-                + max(backward_eff, timing.comm_finish)
-                + blocking
-                + update
-            )
-            if step_index >= cfg.warmup_steps:
-                step_times.append(step)
-                if (
-                    detector is not None
-                    and len(step_times) < cfg.measure_steps
-                ):
-                    detector.observe(step)
-                    if detector.converged():
-                        break
-        assert timing is not None
-        simulated_steps = len(step_times)
-        extrapolated_steps = cfg.measure_steps - simulated_steps
-        if extrapolated_steps:
-            # Extend with the converged value and average over the *full*
-            # list — the same arithmetic a full simulation performs, with
-            # the tail replaced by the steady value.  The residual error is
-            # bounded by ``steady_rel_tol`` (at the default 1e-9 detection
-            # only ever fires on ulp-level accumulator noise, so the mean
-            # agrees with the slow path to ~1e-15 relative).  Local-SGD
-            # extrapolation replays the H-step cadence phase-aligned.
-            if periodic is not None:
-                step_times.extend(
-                    periodic.extrapolate(next_phase, extrapolated_steps)
-                )
-            else:
-                step_times.extend(
-                    [detector.steady_value()] * extrapolated_steps
-                )
-        mean_step = sum(step_times) / len(step_times)
+            if (
+                steady is not None
+                and not extrapolating
+                and step_index >= cfg.warmup_steps
+            ):
+                steady.observe(step, step_index % period)
+            records.append(step)
+            if recovery is not None:
+                recovery.after_step(records, step)
+        measured = records[cfg.warmup_steps:]
+        mean_step = sum(measured) / len(measured)
         regcache = None
-        if self.scenario.backend == "mpi":
+        if world is not None and self.scenario.backend == "mpi":
             stats = world.regcache_stats()
             regcache = stats["hit_rate"] if stats["hits"] + stats["misses"] else None
-        return ScalingPoint(
+        point = ScalingPoint(
             scenario=self.scenario.name,
             num_gpus=num_gpus,
             images_per_second=num_gpus * batch / mean_step,
-            step_time=mean_step,
-            forward_time=forward,
-            backward_time=backward_eff,
-            exposed_comm_time=timing.exposed_comm_time,
-            coordination_time=timing.coordination_time,
-            update_time=update,
-            blocking_time=blocking,
-            comm_wall_time=timing.total_comm_time,
-            message_sizes=[m.nbytes for m in timing.messages],
-            regcache_hit_rate=regcache,
-            simulated_steps=simulated_steps,
-            extrapolated_steps=extrapolated_steps,
-            workload=workload_payload,
-        )
-
-    # -- elastic recovery (performance mode) --------------------------------------
-    def _checkpoint_nbytes(self) -> int:
-        """Bytes one checkpoint writes: fp32 weights + optimizer state."""
-        return int(self.cost.total_params * (4 + OPTIMIZER_BYTES_PER_PARAM))
-
-    def _run_point_faulty(
-        self, num_gpus: int, *, hvprof: Hvprof | None = None
-    ) -> ScalingPoint:
-        """One point under the study's fault plan and recovery policy.
-
-        Mirrors the functional trainer's orchestration on the performance
-        model: a heartbeat supervisor detects dead ranks, the recovery
-        policy decides between restart-from-checkpoint (steps since the
-        last snapshot are discarded as lost work and re-simulated on the
-        shrunk ring) and shrink-and-continue; chronic stragglers can be
-        blacklisted, and ranks whose outage window ends can be regrown.
-        All overheads land in the point's ``resilience`` ledger.
-        """
-        from repro.errors import RankFailedError
-        from repro.faults.injector import FaultInjector
-        from repro.resilience.accounting import RecoveryAccounting
-        from repro.resilience.policy import RESTART_FROM_CHECKPOINT
-        from repro.resilience.supervisor import HeartbeatSupervisor
-
-        cfg = self.config
-        batch = self.batch_for(num_gpus)
-        if cfg.check_memory:
-            self.check_memory_feasible(batch)
-        forward = self.throughput.forward_time(batch)
-        backward = self.throughput.backward_time(batch)
-        update = self._update_time()
-        cluster = build_cluster(cfg.cluster, num_gpus)
-        world_spec = WorldSpec(
-            num_ranks=num_gpus,
-            policy=self.scenario.policy,
-            config=self.scenario.mv2,
-        )
-        injector = FaultInjector(self.fault_plan, topology=cluster.topology())
-        world, comm = build_backend(
-            cluster,
-            self.scenario.backend,
-            world_spec=world_spec,
-            num_ranks=num_gpus,
-            faults=injector,
-        )
-        session = None
-        if cfg.engine_mode == "fast":
-            from repro.sim.fastpath import enable_fastpath
-
-            session = enable_fastpath(world)
-        if hvprof is not None:
-            comm.add_observer(hvprof.observer)
-        engine = HorovodEngine(
-            comm, cfg.horovod,
-            compression=CompressionConfig.parse(cfg.compression),
-        )
-        policy = self.recovery or RESTART_FROM_CHECKPOINT
-        supervisor = HeartbeatSupervisor(
-            range(num_gpus), injector, policy.heartbeat
-        )
-        acct = RecoveryAccounting()
-        ckpt_nbytes = self._checkpoint_nbytes()
-        transport = getattr(world, "transport", None)
-        rng = SeedSequenceFactory(2021).generator("gradient-jitter", num_gpus)
-        live = list(range(num_gpus))
-        # (step_time, world_size) per completed step; truncated on restart
-        records: list[tuple[float, int]] = []
-        # (step, corrupt) per retained snapshot, oldest first — restart
-        # walks newest -> oldest past corrupt files (checksum verification)
-        snapshots: list[tuple[int, bool]] = []
-        saves = 0
-        clock = 0.0
-        total_steps = cfg.warmup_steps + cfg.measure_steps
-        # Steady-state extrapolation under faults: the detector re-arms on
-        # every world perturbation (failure, blacklist, regrow, straggler
-        # slowdown) so the recovery transient never poisons the converged
-        # value; between perturbations, converged steps replay the steady
-        # value without walking the engine.
-        detector = None
-        periodic = None
-        extrapolated = 0
-        H = cfg.local_sgd_h
-        blocking = 0.0
-        timing: StepTiming | None = None
-        if H > 1:
-            timing = StepTiming(
-                backward_time=backward, comm_finish=0.0, coordination_time=0.0
-            )
-        if (
-            cfg.steady_detect
-            and hvprof is None
-            and cfg.measure_steps > cfg.steady_window
-        ):
-            if H > 1:
-                from repro.perf.steady import PeriodicSteadyState
-
-                periodic = PeriodicSteadyState(
-                    H, cfg.steady_window, cfg.steady_rel_tol
-                )
-            else:
-                from repro.perf.steady import SteadyStateDetector
-
-                detector = SteadyStateDetector(
-                    cfg.steady_window, cfg.steady_rel_tol
-                )
-        if policy.restart:
-            cost = policy.checkpoint.write_cost(ckpt_nbytes)
-            clock += cost
-            acct.note_checkpoint(cost)
-            snapshots.append((0, injector.checkpoint_corrupt(saves, clock)))
-            saves += 1
-        while len(records) < total_steps:
-            # Whole failure domains are declared atomically: every rank a
-            # node/switch/partition fault took down shares one detection
-            # window, and each successive group's stall is charged off the
-            # *updated* clock — overlapping windows never double-charge.
-            groups = supervisor.poll_domains(clock)
-            dead = []
-            for group in groups:
-                members = [d for d in group.detections if d.rank in live]
-                if not members:
-                    continue
-                stall = max(0.0, group.declared_at - clock)
-                clock += stall
-                acct.note_detection(stall)
-                for d in members:
-                    live.remove(d.rank)
-                dead.extend(members)
-            if not live:
-                raise RankFailedError(
-                    f"all {num_gpus} ranks failed under plan "
-                    f"seed={self.fault_plan.seed}"
-                )
-            if dead:
-                engine.shrink_to(sorted(live))
-                if session is not None:
-                    session.invalidate()
-                if detector is not None:
-                    detector.rearm()
-                if periodic is not None:
-                    periodic.rearm()
-                if policy.restart:
-                    # checksum-verified recovery: walk newest -> oldest,
-                    # charging a read per attempt, past corrupt snapshots
-                    restore_step = None
-                    read = 0.0
-                    for snap_step, corrupt in reversed(snapshots):
-                        read += policy.checkpoint.read_cost(ckpt_nbytes)
-                        if not corrupt:
-                            restore_step = snap_step
-                            break
-                        injector.record(
-                            "ckpt-corrupt-skipped", clock,
-                            detail=f"step={snap_step}",
-                        )
-                    if restore_step is None:
-                        from repro.errors import CheckpointError
-
-                        raise CheckpointError(
-                            f"no valid checkpoint survives under plan "
-                            f"seed={self.fault_plan.seed}: all "
-                            f"{len(snapshots)} retained snapshot(s) corrupt "
-                            f"(keep_last={policy.checkpoint.keep_last})"
-                        )
-                    lost_steps = len(records) - restore_step
-                    if lost_steps > 0:
-                        lost = sum(t for t, _ in records[restore_step:])
-                        acct.productive_s -= lost
-                        acct.note_lost_work(lost, steps=lost_steps)
-                        del records[restore_step:]
-                    acct.note_restart(read + policy.restart_overhead_s)
-                    clock += read + policy.restart_overhead_s
-                    injector.record(
-                        "restart", clock,
-                        detail=f"from step {restore_step} "
-                               f"world={len(live)} verified",
-                    )
-            if policy.blacklist_after > 0:
-                for rank in supervisor.over_limit(policy.blacklist_after):
-                    if rank in live and len(live) > 1:
-                        live.remove(rank)
-                        supervisor.drop(rank)
-                        engine.shrink_to(sorted(live))
-                        if session is not None:
-                            session.invalidate()
-                        if detector is not None:
-                            detector.rearm()
-                        if periodic is not None:
-                            periodic.rearm()
-                        acct.note_blacklist(rank)
-                        injector.record(
-                            "rank-blacklisted", clock, rank=rank,
-                            detail=f"offenses>={policy.blacklist_after}",
-                        )
-            if policy.regrow:
-                for rank in supervisor.recovered(clock):
-                    live.append(rank)
-                    live.sort()
-                    supervisor.readmit(rank)
-                    engine.reform_to(list(live))
-                    if session is not None:
-                        session.invalidate()
-                    if detector is not None:
-                        detector.rearm()
-                    if periodic is not None:
-                        periodic.rearm()
-                    # the regrown replica's weights ride the re-formed
-                    # ring: one comm-layer broadcast of the checkpoint
-                    # payload, charged with the restart overhead
-                    rebcast = broadcast_weights(engine.comm, ckpt_nbytes)
-                    rebcast_s = rebcast.time if rebcast is not None else 0.0
-                    acct.note_regrow(
-                        rank, policy.restart_overhead_s + rebcast_s
-                    )
-                    clock += policy.restart_overhead_s + rebcast_s
-                    injector.record(
-                        "rank-regrown", clock, rank=rank,
-                        detail=f"world={len(live)}",
-                    )
-            step_index = len(records)
-            fault_factor = 1.0
-            for rank in live:
-                f = injector.compute_factor(rank, clock, step_index)
-                supervisor.note_compute(rank, f, clock)
-                fault_factor = max(fault_factor, f)
-            if fault_factor > 1.0 or injector.wire_corruption_active(clock):
-                # a straggler slowdown perturbs the step time without any
-                # membership change — the converged value is stale.  An
-                # active wire-corruption window likewise forces real steps:
-                # extrapolation sends no messages, so corruption (and its
-                # CRC retransmit cost) would silently vanish.
-                if detector is not None:
-                    detector.rearm()
-                if periodic is not None:
-                    periodic.rearm()
-            backward_eff = (
-                backward
-                * straggler_factor(len(live), sigma=cfg.jitter_sigma)
-                * fault_factor
-            )
-            if H == 1:
-                # Always draw the gradient stream, even for extrapolated
-                # steps: the jitter RNG must consume the same draws as a
-                # full run so a re-armed resumption stays aligned with
-                # exact simulation.  (Local-SGD never draws: neither the
-                # local steps nor the parameter sync carry jitter.)
-                stream = self._gradient_stream(backward_eff, rng=rng)
-            sync_step = H > 1 and (step_index + 1) % H == 0
-            if detector is not None and detector.converged():
-                step = detector.steady_value()
-                extrapolated += 1
-            elif periodic is not None and periodic.converged():
-                step = periodic.phase_value(step_index)
-                extrapolated += 1
-            elif H > 1 and not sync_step:
-                step = forward + backward_eff + update
-                if periodic is not None and step_index >= cfg.warmup_steps:
-                    periodic.observe(step, step_index % H)
-            else:
-                staged_before = (
-                    transport.max_staged_seconds() if transport else 0.0
-                )
-                if sync_step:
-                    timing = engine.run_step(
-                        self._parameter_stream(),
-                        backward_time=0.0,
-                        force_dense=True,
-                    )
-                else:
-                    timing = engine.run_step(stream, backward_time=backward_eff)
-                staged_delta = (
-                    transport.max_staged_seconds() - staged_before
-                    if transport else 0.0
-                )
-                blocking = staged_delta * PAGEABLE_BLOCKING_FACTOR
-                if sync_step:
-                    step = (
-                        forward + backward_eff + blocking + update
-                        + timing.comm_finish
-                    )
-                else:
-                    step = (
-                        forward
-                        + max(backward_eff, timing.comm_finish)
-                        + blocking
-                        + update
-                    )
-                if step_index >= cfg.warmup_steps:
-                    if detector is not None:
-                        detector.observe(step)
-                    if periodic is not None:
-                        periodic.observe(step, step_index % H)
-            records.append((step, len(live)))
-            clock += step
-            acct.note_productive(step)
-            if policy.restart and policy.checkpoint.due(len(records)):
-                cost = policy.checkpoint.write_cost(ckpt_nbytes)
-                clock += cost
-                acct.note_checkpoint(cost)
-                snapshots.append(
-                    (len(records), injector.checkpoint_corrupt(saves, clock))
-                )
-                saves += 1
-                # retention rotation mirrors CheckpointManager.keep_last
-                del snapshots[: -policy.checkpoint.keep_last]
-        measured = records[cfg.warmup_steps:]
-        mean_step = sum(t for t, _ in measured) / len(measured)
-        regcache = None
-        if self.scenario.backend == "mpi":
-            stats = world.regcache_stats()
-            regcache = stats["hit_rate"] if stats["hits"] + stats["misses"] else None
-        trace_kinds: dict[str, int] = {}
-        for event in injector.trace:
-            trace_kinds[event.kind] = trace_kinds.get(event.kind, 0) + 1
-        resilience = {
-            **acct.to_payload(),
-            # the independently-accumulated simulation clock: the chaos
-            # invariant `productive + overheads == wall clock` checks the
-            # ledger against this, not against its own sum
-            "wall_clock_s": clock,
-            "world_sizes": [w for _, w in records],
-            "final_world_size": len(live),
-            "trace_digest": injector.trace.digest(),
-            "trace_events": len(injector.trace),
-            "trace_kinds": {k: trace_kinds[k] for k in sorted(trace_kinds)},
-        }
-        return ScalingPoint(
-            scenario=self.scenario.name,
-            num_gpus=num_gpus,
-            images_per_second=(
-                sum(w * batch for _, w in measured)
-                / sum(t for t, _ in measured)
-            ),
             step_time=mean_step,
             forward_time=forward,
             backward_time=backward,
@@ -993,10 +651,17 @@ class ScalingStudy:
             comm_wall_time=timing.total_comm_time,
             message_sizes=[m.nbytes for m in timing.messages],
             regcache_hit_rate=regcache,
-            simulated_steps=len(records) - extrapolated,
+            simulated_steps=cfg.measure_steps - extrapolated,
             extrapolated_steps=extrapolated,
-            resilience=resilience,
+            workload=self._workload_payload(),
         )
+        if recovery is not None:
+            point = recovery.report(point, records, batch)
+        return point
+
+    def _checkpoint_nbytes(self) -> int:
+        """Bytes one checkpoint writes: fp32 weights + optimizer state."""
+        return int(self.cost.total_params * (4 + OPTIMIZER_BYTES_PER_PARAM))
 
     # -- full sweep ---------------------------------------------------------------
     def run(
@@ -1041,6 +706,232 @@ class ScalingStudy:
             return scenario_by_name(self.scenario.name) == self.scenario
         except ConfigError:
             return False
+
+
+class _ElasticRecovery:
+    """A fault plan's perturbation hook on the point executor.
+
+    Mirrors the functional trainer's orchestration on the performance
+    model: a heartbeat supervisor detects dead ranks, the recovery policy
+    decides between restart-from-checkpoint (steps since the last snapshot
+    are discarded as lost work and re-simulated on the shrunk ring) and
+    shrink-and-continue; chronic stragglers can be blacklisted, and ranks
+    whose outage window ends can be regrown.  All overheads land in the
+    point's ``resilience`` ledger.
+
+    Steady-state extrapolation under faults: the detector re-arms on every
+    world perturbation (failure, blacklist, regrow, straggler slowdown) so
+    the recovery transient never poisons the converged value.
+    """
+
+    def __init__(
+        self, study: ScalingStudy, cluster, num_gpus: int, backward: float
+    ):
+        from repro.faults.injector import FaultInjector
+        from repro.resilience.accounting import RecoveryAccounting
+        from repro.resilience.policy import RESTART_FROM_CHECKPOINT
+        from repro.resilience.supervisor import HeartbeatSupervisor
+
+        self.study = study
+        self.plan = study.fault_plan
+        self.injector = FaultInjector(self.plan, topology=cluster.topology())
+        self.policy = study.recovery or RESTART_FROM_CHECKPOINT
+        self.supervisor = HeartbeatSupervisor(
+            range(num_gpus), self.injector, self.policy.heartbeat
+        )
+        self.acct = RecoveryAccounting()
+        self.ckpt_nbytes = study._checkpoint_nbytes()
+        self.backward = backward  # un-inflated: stragglers apply per step
+        self.num_gpus = num_gpus
+        self.live = list(range(num_gpus))
+        self.world_sizes: list[int] = []  # per record; truncated on restart
+        # (step, corrupt) per retained snapshot, oldest first — restart
+        # walks newest -> oldest past corrupt files (checksum verification)
+        self.snapshots: list[tuple[int, bool]] = []
+        self.saves = 0
+        self.clock = 0.0
+
+    def attach(self, engine, session, steady) -> None:
+        """Bind the world the executor built; take the initial snapshot."""
+        self.engine, self.session, self.steady = engine, session, steady
+        if self.policy.restart:
+            self._checkpoint(0)
+
+    def _checkpoint(self, step: int) -> None:
+        cost = self.policy.checkpoint.write_cost(self.ckpt_nbytes)
+        self.clock += cost
+        self.acct.note_checkpoint(cost)
+        self.snapshots.append(
+            (step, self.injector.checkpoint_corrupt(self.saves, self.clock))
+        )
+        self.saves += 1
+        # retention rotation mirrors CheckpointManager.keep_last
+        del self.snapshots[: -self.policy.checkpoint.keep_last]
+
+    def _rearm(self) -> None:
+        if self.steady is not None:
+            self.steady.rearm()
+
+    def _world_changed(self) -> None:
+        if self.session is not None:
+            self.session.invalidate()
+        self._rearm()
+
+    def before_step(self, records: list[float]) -> float:
+        """Absorb the faults due by now; return this step's backward."""
+        policy, injector, supervisor = self.policy, self.injector, self.supervisor
+        live = self.live
+        # Whole failure domains are declared atomically: every rank a
+        # node/switch/partition fault took down shares one detection
+        # window, and each successive group's stall is charged off the
+        # *updated* clock — overlapping windows never double-charge.
+        dead = []
+        for group in supervisor.poll_domains(self.clock):
+            members = [d for d in group.detections if d.rank in live]
+            if not members:
+                continue
+            stall = max(0.0, group.declared_at - self.clock)
+            self.clock += stall
+            self.acct.note_detection(stall)
+            for d in members:
+                live.remove(d.rank)
+            dead.extend(members)
+        if not live:
+            from repro.errors import RankFailedError
+
+            raise RankFailedError(
+                f"all {self.num_gpus} ranks failed under plan "
+                f"seed={self.plan.seed}"
+            )
+        if dead:
+            self.engine.shrink_to(sorted(live))
+            self._world_changed()
+            if policy.restart:
+                self._restart(records)
+        if policy.blacklist_after > 0:
+            for rank in supervisor.over_limit(policy.blacklist_after):
+                if rank in live and len(live) > 1:
+                    live.remove(rank)
+                    supervisor.drop(rank)
+                    self.engine.shrink_to(sorted(live))
+                    self._world_changed()
+                    self.acct.note_blacklist(rank)
+                    injector.record(
+                        "rank-blacklisted", self.clock, rank=rank,
+                        detail=f"offenses>={policy.blacklist_after}",
+                    )
+        if policy.regrow:
+            for rank in supervisor.recovered(self.clock):
+                live.append(rank)
+                live.sort()
+                supervisor.readmit(rank)
+                self.engine.reform_to(list(live))
+                self._world_changed()
+                # the regrown replica's weights ride the re-formed ring:
+                # one comm-layer broadcast of the checkpoint payload,
+                # charged with the restart overhead
+                rebcast = broadcast_weights(self.engine.comm, self.ckpt_nbytes)
+                rebcast_s = rebcast.time if rebcast is not None else 0.0
+                self.acct.note_regrow(
+                    rank, policy.restart_overhead_s + rebcast_s
+                )
+                self.clock += policy.restart_overhead_s + rebcast_s
+                injector.record(
+                    "rank-regrown", self.clock, rank=rank,
+                    detail=f"world={len(live)}",
+                )
+        fault_factor = 1.0
+        for rank in live:
+            f = injector.compute_factor(rank, self.clock, len(records))
+            supervisor.note_compute(rank, f, self.clock)
+            fault_factor = max(fault_factor, f)
+        if fault_factor > 1.0 or injector.wire_corruption_active(self.clock):
+            # a straggler slowdown perturbs the step time without any
+            # membership change — the converged value is stale.  An active
+            # wire-corruption window likewise forces real steps:
+            # extrapolation sends no messages, so corruption (and its CRC
+            # retransmit cost) would silently vanish.
+            self._rearm()
+        return (
+            self.backward
+            * straggler_factor(len(live), sigma=self.study.config.jitter_sigma)
+            * fault_factor
+        )
+
+    def _restart(self, records: list[float]) -> None:
+        """Checksum-verified recovery: walk newest -> oldest, charging a
+        read per attempt, past corrupt snapshots."""
+        policy = self.policy
+        restore_step = None
+        read = 0.0
+        for snap_step, corrupt in reversed(self.snapshots):
+            read += policy.checkpoint.read_cost(self.ckpt_nbytes)
+            if not corrupt:
+                restore_step = snap_step
+                break
+            self.injector.record(
+                "ckpt-corrupt-skipped", self.clock, detail=f"step={snap_step}",
+            )
+        if restore_step is None:
+            from repro.errors import CheckpointError
+
+            raise CheckpointError(
+                f"no valid checkpoint survives under plan "
+                f"seed={self.plan.seed}: all "
+                f"{len(self.snapshots)} retained snapshot(s) corrupt "
+                f"(keep_last={policy.checkpoint.keep_last})"
+            )
+        lost_steps = len(records) - restore_step
+        if lost_steps > 0:
+            lost = sum(records[restore_step:])
+            self.acct.productive_s -= lost
+            self.acct.note_lost_work(lost, steps=lost_steps)
+            del records[restore_step:]
+            del self.world_sizes[restore_step:]
+        self.acct.note_restart(read + policy.restart_overhead_s)
+        self.clock += read + policy.restart_overhead_s
+        self.injector.record(
+            "restart", self.clock,
+            detail=f"from step {restore_step} world={len(self.live)} verified",
+        )
+
+    def after_step(self, records: list[float], step: float) -> None:
+        self.world_sizes.append(len(self.live))
+        self.clock += step
+        self.acct.note_productive(step)
+        if self.policy.restart and self.policy.checkpoint.due(len(records)):
+            self._checkpoint(len(records))
+
+    def report(
+        self, point: ScalingPoint, records: list[float], batch: int
+    ) -> ScalingPoint:
+        """The fault-point view of ``point``, plus its recovery ledger."""
+        warmup = self.study.config.warmup_steps
+        trace = self.injector.trace
+        trace_kinds: dict[str, int] = {}
+        for event in trace:
+            trace_kinds[event.kind] = trace_kinds.get(event.kind, 0) + 1
+        return replace(
+            point,
+            images_per_second=(
+                sum(w * batch for w in self.world_sizes[warmup:])
+                / sum(records[warmup:])
+            ),
+            backward_time=self.backward,
+            simulated_steps=len(records) - point.extrapolated_steps,
+            resilience={
+                **self.acct.to_payload(),
+                # the independently-accumulated simulation clock: the chaos
+                # invariant `productive + overheads == wall clock` checks
+                # the ledger against this, not against its own sum
+                "wall_clock_s": self.clock,
+                "world_sizes": list(self.world_sizes),
+                "final_world_size": len(self.live),
+                "trace_digest": trace.digest(),
+                "trace_events": len(trace),
+                "trace_kinds": {k: trace_kinds[k] for k in sorted(trace_kinds)},
+            },
+        )
 
 
 # -- cache (de)serialization ---------------------------------------------------

@@ -32,29 +32,20 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.compression import CompressionConfig
-from repro.core.calibration import (
-    OPTIMIZER_BYTES_PER_PARAM,
-    PAGEABLE_BLOCKING_FACTOR,
-)
+from repro.core.calibration import OPTIMIZER_BYTES_PER_PARAM
 from repro.errors import ConfigError, HardwareError
 from repro.hardware.cluster import build_cluster
 from repro.hardware.specs import ClusterSpec
 from repro.horovod.backend import build_backend
 from repro.horovod.coordinator import straggler_factor
-from repro.horovod.engine import HorovodEngine, StepTiming
-from repro.horovod.fusion import PendingTensor
 from repro.models.costing import (
     ModelCostModel,
     ThroughputModel,
     TrainingMemoryModel,
 )
 from repro.mpi.comm import GpuBuffer
-from repro.mpi.process import WorldSpec
 from repro.parallel.layout import ParallelLayout
 from repro.parallel.partition import StageShard, stage_models
-from repro.perf.steady import SteadyStateDetector
-from repro.utils.seeding import SeedSequenceFactory
 
 
 def dp_cluster_spec(spec: ClusterSpec, layout: ParallelLayout) -> ClusterSpec:
@@ -122,20 +113,15 @@ def check_hybrid_memory(study, layout: ParallelLayout, batch: int) -> None:
 class HybridExecutor:
     """Prices hybrid layouts for one :class:`~repro.core.study.ScalingStudy`.
 
-    The executor outlives one point: a sweep over GPU counts (or the
-    planner's serial pricing loop) reuses it, so its steady-state detector
-    carries ``rearm_if_changed`` context — the pipeline depth, microbatch
-    count and world size — and re-arms the moment any of them changes.
-    Without that guard a window converged at one pipeline depth would
-    extrapolate a *different* layout's step time into later points.
+    The executor owns the hybrid job: validation, the stage partition and
+    the tp/pp terms.  The step loop itself is the study's point executor,
+    fed the layout's constants (forward and backward walls, the tp sync,
+    the update) and the dp sub-world; each point gets its own steady-state
+    detector, so no converged window ever carries into another point.
     """
 
     def __init__(self, study):
         self.study = study
-        cfg = study.config
-        self._steady = SteadyStateDetector(
-            cfg.steady_window, cfg.steady_rel_tol
-        )
 
     # -- component pricing ---------------------------------------------------
     def _tp_comm(
@@ -206,34 +192,12 @@ class HybridExecutor:
             for s in stages[:-1]
         )
 
-    def _gradient_stream(
-        self, stage: StageShard, backward_time: float, rng
-    ) -> list[PendingTensor]:
-        """The bottleneck stage's shard gradients with per-step jitter."""
-        schedule = stage.cost.gradient_schedule()
-        sigma = self.study.config.jitter_sigma
-        if rng is None:
-            noise = [0.0] * len(schedule)
-        else:
-            noise = rng.normal(0.0, sigma, len(schedule))
-        return [
-            PendingTensor(
-                t.name,
-                t.nbytes,
-                ready_time=max(
-                    0.0, t.ready_fraction * backward_time * (1.0 + eps)
-                ),
-            )
-            for t, eps in zip(schedule, noise)
-        ]
-
     # -- one point -----------------------------------------------------------
     def run(self, num_gpus: int, layout: ParallelLayout, *, hvprof=None):
-        from repro.core.study import ScalingPoint
+        from repro.core.study import GRADS
 
         study = self.study
         cfg = study.config
-        scenario = study.scenario
         layout = layout.resolved(num_gpus)
         layout.validate_model(study.cost)
         layout.validate_cluster(cfg.cluster.node.gpus_per_node)
@@ -249,10 +213,6 @@ class HybridExecutor:
             )
         if cfg.check_memory:
             check_hybrid_memory(study, layout, batch)
-        # satellite fix: the detector survives across points of a sweep —
-        # re-arm whenever the layout (pipeline depth above all) or world
-        # changes so extrapolation never replays a stale step time
-        self._steady.rearm_if_changed((num_gpus, batch, layout))
 
         P, M = layout.pp, layout.microbatches
         mb = batch * layout.model_parallel_size // M
@@ -286,134 +246,44 @@ class HybridExecutor:
             if stage.cost.param_bytes > grad_stage.cost.param_bytes:
                 grad_stage = stage
 
-        engine = None
-        transport = None
-        world = None
+        dp_cluster = None
         if layout.dp > 1:
-            spec = dp_cluster_spec(cfg.cluster, layout)
-            cluster = build_cluster(spec, layout.dp)
-            world_spec = WorldSpec(
-                num_ranks=layout.dp,
-                policy=scenario.policy,
-                config=scenario.mv2,
+            dp_cluster = build_cluster(
+                dp_cluster_spec(cfg.cluster, layout), layout.dp
             )
-            world, comm = build_backend(
-                cluster,
-                scenario.backend,
-                world_spec=world_spec,
-                num_ranks=layout.dp,
-            )
-            if cfg.engine_mode == "fast":
-                from repro.sim.fastpath import enable_fastpath
-
-                enable_fastpath(world)
-            if hvprof is not None:
-                comm.add_observer(hvprof.observer)
-            engine = HorovodEngine(
-                comm, cfg.horovod,
-                compression=CompressionConfig.parse(cfg.compression),
-            )
-            transport = getattr(world, "transport", None)
-        rng = SeedSequenceFactory(2021).generator("gradient-jitter", num_gpus)
-
-        detector = None
-        if (
-            cfg.steady_detect
-            and hvprof is None
-            and cfg.measure_steps > cfg.steady_window
-        ):
-            detector = self._steady
-        timing: StepTiming | None = None
-        step_times: list[float] = []
-        blocking = 0.0
-        for step_index in range(cfg.warmup_steps + cfg.measure_steps):
-            if engine is not None:
-                stream = self._gradient_stream(grad_stage, bwd_wall, rng)
-                staged_before = (
-                    transport.max_staged_seconds() if transport else 0.0
-                )
-                timing = engine.run_step(stream, backward_time=bwd_wall)
-                staged_delta = (
-                    transport.max_staged_seconds() - staged_before
-                    if transport else 0.0
-                )
-                blocking = staged_delta * PAGEABLE_BLOCKING_FACTOR
-                comm_finish = timing.comm_finish
-            else:
-                comm_finish = 0.0
-            step = (
-                fwd_wall
-                + max(bwd_wall, comm_finish)
-                + blocking
-                + sync_step
-                + update
-            )
-            if step_index >= cfg.warmup_steps:
-                step_times.append(step)
-                if (
-                    detector is not None
-                    and len(step_times) < cfg.measure_steps
-                ):
-                    detector.observe(step)
-                    if detector.converged():
-                        break
-        simulated_steps = len(step_times)
-        extrapolated_steps = cfg.measure_steps - simulated_steps
-        if extrapolated_steps:
-            step_times.extend(
-                [detector.steady_value()] * extrapolated_steps
-            )
-        mean_step = sum(step_times) / len(step_times)
-        regcache = None
-        if engine is not None and scenario.backend == "mpi":
-            stats = world.regcache_stats()
-            regcache = (
-                stats["hit_rate"] if stats["hits"] + stats["misses"] else None
-            )
+        point = study._execute(
+            num_gpus,
+            batch,
+            (GRADS,),
+            cluster=dp_cluster,
+            ranks=layout.dp,
+            forward=fwd_wall,
+            backward=bwd_wall,
+            update=update,
+            grad_cost=grad_stage.cost,
+            sync_step=sync_step,
+            hvprof=hvprof,
+        )
         tp_time = M * max(f + b for f, b in zip(tp_fwd, tp_bwd)) + sync_step
         pp_time = slots * 2.0 * hop
-        dp_comm = timing.total_comm_time if timing is not None else 0.0
-        return ScalingPoint(
-            scenario=scenario.name,
-            num_gpus=num_gpus,
-            images_per_second=num_gpus * batch / mean_step,
-            step_time=mean_step,
-            forward_time=fwd_wall,
-            backward_time=bwd_wall,
-            exposed_comm_time=(
-                timing.exposed_comm_time if timing is not None else 0.0
-            ),
-            coordination_time=(
-                timing.coordination_time if timing is not None else 0.0
-            ),
-            update_time=update,
-            blocking_time=blocking,
-            comm_wall_time=dp_comm + tp_time + pp_time,
-            message_sizes=(
-                [m.nbytes for m in timing.messages]
-                if timing is not None else []
-            ),
-            regcache_hit_rate=regcache,
-            simulated_steps=simulated_steps,
-            extrapolated_steps=extrapolated_steps,
-            parallelism={
-                "dp": layout.dp,
-                "tp": layout.tp,
-                "pp": layout.pp,
-                "microbatches": M,
-                "schedule": layout.schedule,
-                "microbatch_size": mb,
-                "bubble_fraction": (P - 1) / slots,
-                "tp_comm_time": tp_time,
-                "pp_hop_time": pp_time,
-                "stage_bounds": [
-                    [s, e]
-                    for s, e in _stage_bounds_of(study.cost, layout)
-                ],
-                "stage_params": [s.cost.total_params for s in stages],
-                "grad_stage": grad_stage.index,
-            },
-        )
+        point.comm_wall_time = point.comm_wall_time + tp_time + pp_time
+        point.parallelism = {
+            "dp": layout.dp,
+            "tp": layout.tp,
+            "pp": layout.pp,
+            "microbatches": M,
+            "schedule": layout.schedule,
+            "microbatch_size": mb,
+            "bubble_fraction": (P - 1) / slots,
+            "tp_comm_time": tp_time,
+            "pp_hop_time": pp_time,
+            "stage_bounds": [
+                [s, e] for s, e in _stage_bounds_of(study.cost, layout)
+            ],
+            "stage_params": [s.cost.total_params for s in stages],
+            "grad_stage": grad_stage.index,
+        }
+        return point
 
 
 def _stage_bounds_of(

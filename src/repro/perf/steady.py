@@ -33,9 +33,10 @@ class SteadyStateDetector:
         self.window = window
         self.rel_tol = rel_tol
         self._samples: list[float] = []
-        self._context: object | None = None
 
-    def observe(self, sample: float) -> None:
+    def observe(self, sample: float, phase: int = 0) -> None:
+        """Record one sample; ``phase`` mirrors :class:`PeriodicSteadyState`
+        (a flat signal has a single phase)."""
         self._samples.append(sample)
 
     def rearm(self) -> None:
@@ -50,25 +51,6 @@ class SteadyStateDetector:
         samples before it converges again.
         """
         self._samples.clear()
-
-    def rearm_if_changed(self, key: object) -> bool:
-        """Re-arm when the measurement context changes mid-sweep.
-
-        A detector that outlives one measured point (the hybrid executor
-        reuses its detector across a sweep's points) must forget its
-        converged window the moment the context — world size, pipeline
-        depth, microbatch count — changes: a window converged at one
-        pipeline depth would otherwise extrapolate a *different* layout's
-        step time.  ``key`` is any equality-comparable description of the
-        context; returns True iff the change forced a re-arm.
-        """
-        if self._context is not None and self._context == key:
-            return False
-        changed = self._context is not None
-        self._context = key
-        if changed:
-            self.rearm()
-        return changed
 
     @property
     def samples(self) -> list[float]:
@@ -99,6 +81,10 @@ class SteadyStateDetector:
         if all(s == tail[0] for s in tail):
             return tail[0]
         return sum(tail) / len(tail)
+
+    def phase_value(self, phase: int) -> float:
+        """The converged value for any phase: :meth:`steady_value`."""
+        return self.steady_value()
 
 
 class PeriodicSteadyState:

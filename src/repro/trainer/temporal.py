@@ -5,8 +5,8 @@ on tiny models: each sequence runs ``frames`` forward passes carrying the
 recurrent hidden state, accumulates per-scale L1/MSE losses across frames,
 then backpropagates once through the whole sequence and applies a single
 optimizer update.  Hidden state resets at sequence boundaries — the same
-periodic step structure the performance-mode study prices in
-:meth:`repro.core.study.ScalingStudy._run_point`.
+periodic step structure the performance-mode study declares in
+:meth:`repro.core.study.ScalingStudy.step_plan`.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Layout validation messages, cost-model partitioning invariants, the
 reduce-scatter collectives backing tensor parallelism, digest separation
-of hybrid points, the steady-state detector's rearm-on-layout-change
-guard, and the planner's byte-identical determinism across jobs=1 /
+of hybrid points, per-point steady-state detection (no converged
+window carries across points or layouts), and the planner's byte-identical determinism across jobs=1 /
 jobs=N / warm-cache runs.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.scenarios import scenario_by_name
-from repro.core.study import ScalingStudy, StudyConfig
+from repro.core.study import ScalingStudy, StudyConfig, point_payload
 from repro.errors import ConfigError, MpiError
 from repro.hardware import LASSEN
 from repro.hardware.cluster import build_cluster
@@ -34,7 +34,6 @@ from repro.parallel.planner import (
     enumerate_layouts,
     plan_hybrid,
 )
-from repro.perf.steady import SteadyStateDetector
 from repro.utils.units import MIB
 
 
@@ -222,19 +221,22 @@ class TestDigestSeparation:
 
 
 class TestSteadyRearm:
-    """Satellite 6: the detector re-arms when the layout changes."""
+    """Each point gets its own steady-state detector: nothing converged at
+    one point or layout carries into the next."""
 
-    def test_rearm_if_changed_unit(self):
-        det = SteadyStateDetector(window=2)
-        assert det.rearm_if_changed(("a", 1)) is False  # first context
-        det.observe(1.0)
-        det.observe(1.0)
-        assert det.converged()
-        assert det.rearm_if_changed(("a", 1)) is False  # unchanged
-        assert det.converged()
-        assert det.rearm_if_changed(("a", 2)) is True  # changed: re-armed
-        assert det.samples == []
-        assert not det.converged()
+    def test_same_hybrid_point_twice_is_identical(self):
+        # regression: a detector shared across a study's points used to
+        # carry its converged window into the re-run, which then stopped
+        # after one simulated step (1/9 instead of 3/7)
+        cfg = StudyConfig(
+            jitter_sigma=0.0, measure_steps=10,
+            layout=ParallelLayout(pp=2, microbatches=4),
+        )
+        study = ScalingStudy(scenario_by_name("MPI-Opt"), cfg)
+        first = study.run_point(16)
+        second = study.run_point(16)
+        assert point_payload(second) == point_payload(first)
+        assert (first.simulated_steps, first.extrapolated_steps) == (3, 7)
 
     def test_executor_rearms_on_layout_change(self):
         # a tolerance wide enough that a window straddling two layouts

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.invariants import ledger_conservation
 from repro.core import (
     IMAGE_SPEC,
     MPI_OPT,
@@ -203,10 +204,19 @@ class TestStudyScenarios:
         with pytest.raises(ConfigError):
             study_config(VIDEO_SPEC, measure_steps=4)
 
-    def test_fault_plans_only_run_the_degenerate_workload(self):
+    def test_fault_plans_run_every_workload(self):
+        # the elastic-recovery hook perturbs the same step loop every
+        # workload runs, so video and multi-scale points recover too
         plan = FaultPlan(seed=0, faults=(RankFailure(rank=1, time=1.0),))
-        with pytest.raises(ConfigError):
-            ScalingStudy(MPI_OPT, study_config(VIDEO_SPEC), fault_plan=plan)
+        for spec in (VIDEO_SPEC, MULTISCALE_SPEC):
+            point = ScalingStudy(
+                MPI_OPT, study_config(spec), fault_plan=plan
+            ).run_point(8)
+            assert point.workload == spec.to_payload()
+            report = point.resilience
+            assert report["final_world_size"] == 7
+            assert report["trace_kinds"]["rank-dead"] == 1
+            assert ledger_conservation(report).ok, spec.name
 
     def test_degenerate_spec_changes_nothing(self):
         base = ScalingStudy(MPI_OPT, STUDY_FAST).run_point(4)
