@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from repro.comm.cost import FLOAT32_BYTES, reduce_time
 from repro.cuda.kernels import KernelCostModel
 from repro.errors import MpiError
-from repro.mpi.transports import TransportKind, TransportModel
+from repro.mpi.transports import STAGED_KINDS, TransportKind, TransportModel
 
 
 class ExecutionMode(enum.Enum):
@@ -219,8 +219,8 @@ class StepCoster:
         self.kernel_model = KernelCostModel(transport.cluster.spec.node.gpu)
         self.cpu = transport.cluster.spec.node.cpu
         # Optional repro.sim.fastpath.FastPathSession; when attached (via
-        # enable_fastpath), analytic schedule walks replay memoized
-        # transfers instead of re-running the full cost model.
+        # enable_fastpath), analytic walks price transfers through its memo
+        # of quotes instead of the full cost model.
         self.fastpath = None
 
     # -- reduction compute costs ------------------------------------------------
@@ -234,8 +234,7 @@ class StepCoster:
         self, kind: TransportKind, nbytes: int, dtype_bytes: int = FLOAT32_BYTES
     ) -> float:
         """Reduction executes where the data landed: host for staged paths."""
-        if kind in (TransportKind.HOST_STAGED, TransportKind.SMP_EAGER,
-                    TransportKind.STAGED_INTER):
+        if kind in STAGED_KINDS:
             return self.host_reduce_time(nbytes, dtype_bytes)
         return self.gpu_reduce_time(nbytes, dtype_bytes)
 
@@ -291,38 +290,61 @@ class StepCoster:
         return extra
 
     # -- step timing ---------------------------------------------------------------
+    def price(
+        self, t: PairTransfer, reduce_after: bool
+    ) -> tuple[TransportKind, float, float]:
+        """Cost one transfer through the full cost model.
+
+        Returns its kind, its plain total, and the time its step waits for
+        it (the plain total plus, with ``reduce_after``, the reduction).
+        """
+        bd = self.transport.cost(
+            t.src, t.dst, t.nbytes,
+            src_buffer=t.src_buffer, dst_buffer=t.dst_buffer,
+            buffer_extent=t.buffer_extent,
+        )
+        total = bd.total
+        if reduce_after:
+            return bd.kind, total, total + self.reduce_time_for(
+                bd.kind, t.nbytes, t.dtype_bytes
+            )
+        return bd.kind, total, total
+
     def step_time_analytic(
         self, transfers: list[PairTransfer], *, reduce_after: bool = False
     ) -> float:
-        """Makespan of concurrent transfers under the contention model."""
+        """Makespan of concurrent transfers under the contention model.
+
+        The attached fast-path session prices each transfer when there is
+        one (memo replay), the full cost model otherwise.  Under wire
+        corruption every transfer adds its CRC-detected retransmits, each
+        a re-send of that transfer's own plain total.
+        """
         if not transfers:
             return 0.0
+        price = self.price if self.fastpath is None else self.fastpath.price
+        corrupting = self.corruption_active()
+        priced = []
+        for t in transfers:
+            kind, plain, total = price(t, reduce_after)
+            if corrupting:
+                total += self.corruption_surcharge(t.src, t.dst, t.nbytes, plain)
+            priced.append((t.src, kind, total))
+        return self.makespan(priced)
+
+    def makespan(self, priced) -> float:
+        """Makespan of one step of concurrent ``(src, kind, total)``
+        transfers: staged transfers sharing their source node's staging
+        engines serialize in ``ceil(k / engines)`` waves."""
+        ranks = self.transport.ranks
         staged_by_node: dict[int, list[float]] = {}
         other_max = 0.0
-        engines = self.transport.cluster.spec.node.staging_engines
-        corrupting = self.corruption_active()
-        for t in transfers:
-            bd = self.transport.cost(
-                t.src, t.dst, t.nbytes,
-                src_buffer=t.src_buffer, dst_buffer=t.dst_buffer,
-                buffer_extent=t.buffer_extent,
-            )
-            total = bd.total
-            if reduce_after:
-                total += self.reduce_time_for(bd.kind, t.nbytes, t.dtype_bytes)
-            if corrupting:
-                total += self.corruption_surcharge(
-                    t.src, t.dst, t.nbytes, bd.total
-                )
-            if bd.kind in (
-                TransportKind.HOST_STAGED,
-                TransportKind.SMP_EAGER,
-                TransportKind.STAGED_INTER,
-            ):
-                node = self.transport.ranks[t.src].node_id
-                staged_by_node.setdefault(node, []).append(total)
+        for src, kind, total in priced:
+            if kind in STAGED_KINDS:
+                staged_by_node.setdefault(ranks[src].node_id, []).append(total)
             else:
                 other_max = max(other_max, total)
+        engines = self.transport.cluster.spec.node.staging_engines
         staged_max = 0.0
         for times in staged_by_node.values():
             waves = math.ceil(len(times) / engines)
@@ -358,9 +380,7 @@ class StepCoster:
         """Time a full step schedule in the configured mode."""
         if self.mode is ExecutionMode.ANALYTIC:
             if self.fastpath is not None:
-                return self.fastpath.run_steps(
-                    self, steps, reduce_after=reduce_after
-                )
+                return self.fastpath.run_steps(steps, reduce_after=reduce_after)
             return sum(
                 self.step_time_analytic(step, reduce_after=reduce_after)
                 for step in steps

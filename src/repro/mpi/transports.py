@@ -64,6 +64,19 @@ SMP_EAGER_THRESHOLD = 64 * 1024
 #: Table I shows gains only in the >=16 MB bins.
 CUDA_IPC_THRESHOLD = 4 * MIB
 
+#: kinds whose copies pass through host memory: their copy time is charged
+#: to both endpoints and they contend for a node's staging engines
+STAGED_KINDS = (
+    TransportKind.HOST_STAGED,
+    TransportKind.SMP_EAGER,
+    TransportKind.STAGED_INTER,
+)
+
+
+def _buffer_id(rank: int, buffer: int | None) -> int:
+    """The buffer a transfer registers: the rank's own when none is named."""
+    return buffer if buffer is not None else -rank - 1
+
 
 @dataclass
 class CostBreakdown:
@@ -80,6 +93,35 @@ class CostBreakdown:
         return self.wire + self.staging + self.protocol
 
 
+@dataclass(slots=True, eq=False)
+class Quote:
+    """A transfer priced against warm protocol state (:meth:`TransportModel.quote`).
+
+    ``total`` is the transfer's ``CostBreakdown.total`` once its receiver
+    buffer has been advertised in the current MPI call; ``total_first`` is
+    the total of that first advertisement.  The two differ only for a GDR
+    receiver whose registration cache is disabled, which registers and
+    deregisters the buffer once per call.
+    """
+
+    kind: TransportKind
+    src: int
+    dst: int
+    nbytes: int
+    staging: float
+    total: float
+    total_first: float
+    ib: IbTransferModel | None = None  # the sender's HCA (IB kinds)
+    src_buf: int | None = None  # sender buffer held in an enabled cache
+    dst_cache: RegistrationCache | None = None  # the GDR receiver's cache
+    dst_buf: int = 0
+
+    def settled(self) -> bool:
+        """True when the next recurrence costs ``total``: no first-in-call
+        receiver advertisement is pending."""
+        return self.total_first == self.total or self.dst_cache.in_call(self.dst_buf)
+
+
 @dataclass
 class TransportStats:
     """Aggregate byte/transfer counters per transport kind."""
@@ -91,9 +133,9 @@ class TransportStats:
         default_factory=lambda: {k: 0 for k in TransportKind}
     )
 
-    def record(self, kind: TransportKind, nbytes: int) -> None:
-        self.bytes_moved[kind] += nbytes
-        self.transfers[kind] += 1
+    def record(self, kind: TransportKind, nbytes: int, times: int = 1) -> None:
+        self.bytes_moved[kind] += nbytes * times
+        self.transfers[kind] += times
 
 
 class TransportModel:
@@ -144,6 +186,13 @@ class TransportModel:
         # charges them against compute (the default path's hidden tax).
         self.staged_seconds: dict[int, float] = {r.rank: 0.0 for r in ranks}
 
+    def set_mutation_clock(self, clock) -> None:
+        """Share a ``repro.sim.fastpath.MutationClock`` with every
+        registration cache, so any structural protocol change bumps it."""
+        self.mutation_clock = clock
+        for ib in self._ib.values():
+            ib.reg_cache.clock = clock
+
     def begin_collective(self) -> None:
         """Open a new MPI-call scope on every HCA's registration state."""
         for ib in self._ib.values():
@@ -179,7 +228,7 @@ class TransportModel:
         node = self.cluster.nodes[rank.node_id]
         return node.cpu_refs[node.socket_of_gpu(rank.physical_device)]
 
-    def _staged_time(self, a: RankContext, b: RankContext, nbytes: int) -> float:
+    def _staged_time(self, nbytes: int) -> float:
         """Chunk-pipelined D2H + H2D staging through pageable host memory."""
         spec = self.cluster.spec.node
         chunks = max(1, -(-nbytes // self.config.smp_chunk_bytes))
@@ -194,6 +243,64 @@ class TransportModel:
         )
 
     # -- analytic costs -----------------------------------------------------------
+    def _breakdown(
+        self,
+        kind: TransportKind,
+        a: RankContext,
+        b: RankContext,
+        nbytes: int,
+        ipc_open: float = 0.0,
+        src_reg: float = 0.0,
+        dst_reg: float = 0.0,
+    ) -> CostBreakdown:
+        """The cost formula of each transport kind.
+
+        The terms that depend on protocol state come in as arguments: the
+        IPC handle-open cost and the sender's and receiver's registration
+        costs.  :meth:`cost` obtains them by changing that state,
+        :meth:`quote` by peeking at it.
+        """
+        out = CostBreakdown(kind=kind, nbytes=nbytes)
+        pageable = self.cluster.spec.node.pageable_copy_bandwidth
+        if kind is TransportKind.SELF:
+            return out
+        if kind is TransportKind.SMP_EAGER:
+            out.protocol = 2.0e-6  # shared-memory queue post/poll
+            out.staging = 2 * nbytes / pageable
+        elif kind is TransportKind.CUDA_IPC:
+            out.protocol = ipc_open + 3.0e-6  # IPC rendezvous synchronization
+            path = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
+            pipeline = nbytes / self.config.cuda_ipc_bandwidth
+            out.wire = max(path, pipeline)
+        elif kind is TransportKind.HOST_STAGED:
+            out.protocol = 2.5e-6
+            out.staging = self._staged_time(nbytes)
+        elif kind is TransportKind.IB_EAGER:
+            costs = self._ib[a.node_id].costs
+            # copy into the pre-registered bounce buffer
+            out.protocol = (
+                costs.eager_overhead_s + nbytes / costs.eager_copy_bandwidth
+            )
+            # small D2H copy into the bounce buffer, then the wire
+            out.staging = nbytes / pageable
+            out.wire = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
+        elif kind is TransportKind.GDR_RDMA:
+            # RTS/CTS handshake, then both ends registered; the receiver's
+            # buffer is advertised once per call (CTS carries the rkey)
+            handshake = self._ib[a.node_id].costs.rndv_handshake_s
+            out.protocol = (handshake + src_reg) + dst_reg
+            out.wire = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
+        elif kind is TransportKind.STAGED_INTER:
+            handshake = self._ib[a.node_id].costs.rndv_handshake_s
+            out.protocol = handshake + src_reg
+            out.staging = 2 * nbytes / pageable
+            out.wire = self.cluster.path_cost(
+                self._cpu_of(a), self._cpu_of(b), nbytes
+            )
+        else:  # pragma: no cover - enum is exhaustive
+            raise MpiError(f"unhandled transport {kind}")
+        return out
+
     def cost(
         self,
         src: int,
@@ -210,67 +317,135 @@ class TransportModel:
         a, b = self.ranks[src], self.ranks[dst]
         extent = buffer_extent if buffer_extent is not None else nbytes
         kind = kind or self.select(src, dst, nbytes)
-        out = CostBreakdown(kind=kind, nbytes=nbytes)
-        if kind is TransportKind.SELF:
-            return out
-        if kind is TransportKind.SMP_EAGER:
-            spec = self.cluster.spec.node
-            out.protocol = 2.0e-6  # shared-memory queue post/poll
-            out.staging = 2 * nbytes / spec.pageable_copy_bandwidth
-            self._charge_staging(src, dst, out.staging)
-        elif kind is TransportKind.CUDA_IPC:
+        ib = None
+        ipc_open = src_reg = dst_reg = 0.0
+        if kind is TransportKind.CUDA_IPC:
             pair = (min(src, dst), max(src, dst))
             if pair not in self._ipc_pairs:
                 if self.mutation_clock is not None:
                     self.mutation_clock.bump()
                 self._ipc_pairs.add(pair)
-                out.protocol += IPC_OPEN_OVERHEAD_S
-            out.protocol += 3.0e-6  # IPC rendezvous synchronization
-            path = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
-            pipeline = nbytes / self.config.cuda_ipc_bandwidth
-            out.wire = max(path, pipeline)
-        elif kind is TransportKind.HOST_STAGED:
-            out.protocol = 2.5e-6
-            out.staging = self._staged_time(a, b, nbytes)
-            self._charge_staging(src, dst, out.staging)
+                ipc_open = IPC_OPEN_OVERHEAD_S
         elif kind is TransportKind.IB_EAGER:
             ib = self._ib[a.node_id]
-            out.protocol = ib.eager_overhead(nbytes)
-            # small D2H copy into the bounce buffer, then the wire
-            out.staging = nbytes / self.cluster.spec.node.pageable_copy_bandwidth
-            out.wire = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
-        elif kind is TransportKind.GDR_RDMA:
-            ib_src = self._ib[a.node_id]
-            ib_dst = self._ib[b.node_id]
-            out.protocol = ib_src.rendezvous_overhead(
-                src_buffer if src_buffer is not None else -src - 1, nbytes, extent
-            )
-            # receiver's buffer is advertised once per call (CTS carries the
-            # rkey); charge it through the call-scoped transaction
-            out.protocol += ib_dst.reg_cache.acquire(
-                dst_buffer if dst_buffer is not None else -dst - 1, extent
-            )
-            out.wire = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
-        elif kind is TransportKind.STAGED_INTER:
-            ib_src = self._ib[a.node_id]
-            out.protocol = ib_src.rendezvous_overhead(
-                src_buffer if src_buffer is not None else -src - 1, nbytes, extent
-            )
-            out.staging = 2 * nbytes / self.cluster.spec.node.pageable_copy_bandwidth
-            self._charge_staging(src, dst, out.staging)
-            out.wire = self.cluster.path_cost(
-                self._cpu_of(a), self._cpu_of(b), nbytes
-            )
-        else:  # pragma: no cover - enum is exhaustive
-            raise MpiError(f"unhandled transport {kind}")
-        self.stats.record(kind, nbytes)
+        elif kind is TransportKind.GDR_RDMA or kind is TransportKind.STAGED_INTER:
+            ib = self._ib[a.node_id]
+            cache = ib.reg_cache
+            if cache.enabled:
+                # the whole buffer is registered once and reused
+                src_reg = cache.acquire(_buffer_id(src, src_buffer), extent)
+            else:
+                # without a cache every pipeline chunk registers and
+                # deregisters
+                src_reg = cache.cost.round_trip(nbytes)
+            if kind is TransportKind.GDR_RDMA:
+                dst_reg = self._ib[b.node_id].reg_cache.acquire(
+                    _buffer_id(dst, dst_buffer), extent
+                )
+        out = self._breakdown(kind, a, b, nbytes, ipc_open, src_reg, dst_reg)
+        self._charge(kind, src, dst, nbytes, out.staging, ib)
         return out
 
-    def _charge_staging(self, src: int, dst: int, staging: float) -> None:
-        """Attribute a staged transfer's copy time to its two endpoints
-        (sender drives the D2H half, receiver the H2D half)."""
-        self.staged_seconds[src] += staging / 2
-        self.staged_seconds[dst] += staging / 2
+    def quote(
+        self,
+        src: int,
+        dst: int,
+        nbytes: int,
+        *,
+        src_buffer: int | None = None,
+        dst_buffer: int | None = None,
+        buffer_extent: int | None = None,
+    ) -> Quote | None:
+        """Price a message as :meth:`cost` would, without changing anything.
+
+        Returns ``None`` exactly when :meth:`cost` would change structural
+        protocol state: an unopened IPC pair, or a missing, undersized or
+        poisoned registration.  Otherwise :meth:`apply` on the quote has
+        the effect :meth:`cost` would have had, and returns its total.
+        """
+        a, b = self.ranks[src], self.ranks[dst]
+        extent = buffer_extent if buffer_extent is not None else nbytes
+        kind = self.select(src, dst, nbytes)
+        ib = src_buf = dst_cache = None
+        dst_buf = 0
+        src_reg = dst_first = 0.0
+        if kind is TransportKind.CUDA_IPC:
+            if (min(src, dst), max(src, dst)) not in self._ipc_pairs:
+                return None
+        elif kind is TransportKind.IB_EAGER:
+            ib = self._ib[a.node_id]
+        elif kind is TransportKind.GDR_RDMA or kind is TransportKind.STAGED_INTER:
+            ib = self._ib[a.node_id]
+            cache = ib.reg_cache
+            if cache.enabled:
+                src_buf = _buffer_id(src, src_buffer)
+                if cache.peek(src_buf, extent) is None:
+                    return None
+            else:
+                src_reg = cache.cost.round_trip(nbytes)
+            if kind is TransportKind.GDR_RDMA:
+                dst_cache = self._ib[b.node_id].reg_cache
+                dst_buf = _buffer_id(dst, dst_buffer)
+                dst_first = dst_cache.peek(dst_buf, extent)
+                if dst_first is None:
+                    return None
+        out = self._breakdown(kind, a, b, nbytes, 0.0, src_reg)
+        quote = Quote(
+            kind, src, dst, nbytes, out.staging, out.total, out.total,
+            ib, src_buf, dst_cache, dst_buf,
+        )
+        if dst_first:
+            quote.total_first = self._breakdown(
+                kind, a, b, nbytes, 0.0, src_reg, dst_first
+            ).total
+        return quote
+
+    def apply(self, quote: Quote, times: int = 1) -> float:
+        """Perform the protocol side effects of ``times`` back-to-back sends
+        of a quoted message; returns the first one's total.
+
+        Registration caches see one touch (a repeat within the call only
+        re-touches the same LRU slot); everything else counts ``times``.
+        """
+        total = quote.total
+        if quote.src_buf is not None:
+            quote.ib.reg_cache.touch(quote.src_buf)
+        if quote.dst_cache is not None and quote.dst_cache.touch(quote.dst_buf):
+            total = quote.total_first
+        self._charge(
+            quote.kind, quote.src, quote.dst, quote.nbytes, quote.staging,
+            quote.ib, times,
+        )
+        return total
+
+    def _charge(
+        self,
+        kind: TransportKind,
+        src: int,
+        dst: int,
+        nbytes: int,
+        staging: float,
+        ib: IbTransferModel | None,
+        times: int = 1,
+    ) -> None:
+        """Side effects every send of a kind has, whatever the protocol
+        state: byte stats, eager/rendezvous counters, the per-chunk
+        registration of a sender without a cache, and staging time (the
+        sender drives the D2H half, the receiver the H2D half)."""
+        if kind is TransportKind.SELF:
+            return
+        self.stats.record(kind, nbytes, times)
+        if kind is TransportKind.IB_EAGER:
+            ib.eager_sends += times
+        elif ib is not None:
+            ib.rndv_sends += times
+            if not ib.reg_cache.enabled:
+                ib.reg_cache.misses += times
+        if kind in STAGED_KINDS:
+            staged = self.staged_seconds
+            for _ in range(times):
+                staged[src] += staging / 2
+                staged[dst] += staging / 2
 
     def max_staged_seconds(self) -> float:
         """Busiest rank's cumulative staging time (the compute-blocking tax)."""

@@ -29,10 +29,17 @@ class IbProtocolCosts:
 
 
 class IbTransferModel:
-    """Computes protocol-side costs; the wire time itself comes from links.
+    """Protocol state of one HCA (one per node in our clusters).
 
-    The model is *per HCA* (one per node in our clusters) and owns the
-    registration cache for buffers pinned through that HCA.
+    Owns the registration cache for buffers pinned through that HCA, the
+    protocol constants, and the eager/rendezvous send counters.  The
+    protocol costs themselves are priced by
+    :class:`repro.mpi.transports.TransportModel`.  With the registration
+    cache enabled, a rendezvous sender registers its *whole buffer* once
+    and reuses it across chunks and calls.  Without it, MVAPICH2's
+    pipelined rendezvous registers and deregisters **each pipeline
+    chunk**: the repeated cost the cache exists to remove (paper §III-D,
+    reference [22]).
     """
 
     def __init__(
@@ -44,33 +51,6 @@ class IbTransferModel:
         self.costs = costs or IbProtocolCosts()
         self.eager_sends = 0
         self.rndv_sends = 0
-
-    def eager_overhead(self, nbytes: int) -> float:
-        """Sender-side protocol cost of an eager message (excl. wire time)."""
-        self.eager_sends += 1
-        return self.costs.eager_overhead_s + nbytes / self.costs.eager_copy_bandwidth
-
-    def rendezvous_overhead(
-        self, buffer_id: int, chunk_bytes: int, extent: int | None = None
-    ) -> float:
-        """Sender-side protocol cost of a rendezvous message (excl. wire).
-
-        With the registration cache enabled, the *whole buffer* (``extent``)
-        is registered once and reused across chunks and calls.  Without it,
-        MVAPICH2's pipelined rendezvous registers and deregisters **each
-        pipeline chunk** — the repeated cost the cache exists to remove
-        (paper §III-D / reference [22]).
-        """
-        self.rndv_sends += 1
-        extent = extent if extent is not None else chunk_bytes
-        if self.reg_cache.enabled:
-            reg = self.reg_cache.acquire(buffer_id, extent)
-        else:
-            self.reg_cache.misses += 1
-            reg = self.reg_cache.cost.register_time(
-                chunk_bytes
-            ) + self.reg_cache.cost.deregister_time(chunk_bytes)
-        return self.costs.rndv_handshake_s + reg
 
     def stats(self) -> dict[str, float]:
         out = {"eager_sends": self.eager_sends, "rndv_sends": self.rndv_sends}

@@ -40,6 +40,10 @@ class RegistrationCostModel:
     def deregister_time(self, nbytes: int) -> float:
         return self.deregister_base_s + self.pages(nbytes) * self.deregister_per_page_s
 
+    def round_trip(self, nbytes: int) -> float:
+        """Register now, deregister when done: both on the critical path."""
+        return self.register_time(nbytes) + self.deregister_time(nbytes)
+
 
 class RegistrationCache:
     """LRU registration cache with hit/miss statistics.
@@ -105,8 +109,8 @@ class RegistrationCache:
                 return 0.0
             self._txn.add(buffer_id)
             self.misses += 1
-            # register now, deregister when the call completes: both on the path
-            return self.cost.register_time(nbytes) + self.cost.deregister_time(nbytes)
+            # register now, deregister when the call completes
+            return self.cost.round_trip(nbytes)
         # statistics are per (call, buffer) — chunk re-uses within one call
         # are not separate cache lookups
         entries = self._entries
@@ -149,6 +153,40 @@ class RegistrationCache:
             self.evictions += 1
             time += self.cost.deregister_time(evicted_bytes)
         return time
+
+    def peek(self, buffer_id: int, nbytes: int) -> float | None:
+        """What :meth:`acquire` would charge for the buffer's first acquire
+        in the current call, without changing anything.
+
+        ``None`` when that acquire would change the cache's structure (a
+        missing, undersized or poisoned entry).  A repeat acquire within a
+        call costs 0.0 either way.
+        """
+        if not self.enabled:
+            return self.cost.round_trip(nbytes)
+        reg_bytes = self._entries.get(buffer_id)
+        if reg_bytes is None or reg_bytes < nbytes or buffer_id in self._poisoned:
+            return None
+        return 0.0
+
+    def touch(self, buffer_id: int) -> bool:
+        """Book an acquire that :meth:`peek` priced: the call-scoped hit
+        (or, disabled, miss) statistic and the LRU touch.  Returns whether
+        this was the buffer's first acquire in the current call."""
+        first = buffer_id not in self._txn
+        if first:
+            self._txn.add(buffer_id)
+            if self.enabled:
+                self.hits += 1
+            else:
+                self.misses += 1
+        if self.enabled:
+            self._entries.move_to_end(buffer_id)
+        return first
+
+    def in_call(self, buffer_id: int) -> bool:
+        """Whether the buffer was already acquired in the current call."""
+        return buffer_id in self._txn
 
     def invalidate(self, buffer_id: int) -> float:
         """Buffer freed: deregistration cost if it was cached."""

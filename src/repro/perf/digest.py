@@ -31,7 +31,7 @@ from repro.errors import ConfigError
 
 #: bump on any change to the simulator's timing semantics — this is the
 #: explicit whole-cache invalidation lever (plus ``ResultCache.clear``).
-CACHE_VERSION_SALT = "repro-perf-v9"
+CACHE_VERSION_SALT = "repro-perf-v10"
 
 #: environment prefixes that can change simulated results and therefore
 #: participate in the digest

@@ -502,7 +502,7 @@ class TestCompressionTuner:
 
 class TestDigests:
     def test_cache_salt_bumped_for_compression(self):
-        assert CACHE_VERSION_SALT == "repro-perf-v9"
+        assert CACHE_VERSION_SALT == "repro-perf-v10"
 
     def test_compression_folds_into_point_digest(self):
         scenario = scenario_by_name("MPI-Opt")

@@ -24,7 +24,7 @@ import pytest
 from repro.core.scenarios import SCENARIOS, scenario_by_name
 from repro.core.study import ScalingStudy, StudyConfig, point_payload
 from repro.errors import ConfigError
-from repro.faults import FaultPlan, RankFailure
+from repro.faults import CorruptionFault, FaultPlan, RankFailure
 from repro.resilience import CheckpointPolicy, RecoveryPolicy
 
 
@@ -91,6 +91,17 @@ class TestFaultyEquivalence:
         assert exact.resilience is not None
         assert exact.resilience["regrown_ranks"] == [1]
         assert_points_identical(exact, fast)
+
+    def test_wire_corruption_without_regcache_bit_identity(self):
+        """With the registration cache off, a receiver's first
+        advertisement in a call costs more than its repeats; a corrupted
+        transfer retransmits at the price it actually paid, in both
+        engines."""
+        plan = FaultPlan(
+            seed=1, faults=(CorruptionFault(target="wire", prob=0.2),))
+        exact = run_point("MPI", 16, "exact", fault_plan=plan)
+        fast = run_point("MPI", 16, "fast", fault_plan=plan)
+        assert point_payload(exact) == point_payload(fast)
 
 
 class TestCompressionEquivalence:

@@ -191,3 +191,128 @@ class TestEventMode:
         elapsed = env.now - start
         assert elapsed > 1.8 * single
         assert elapsed < 2.6 * single
+
+
+def protocol_state(tm):
+    """Everything a transfer's costing can change, in comparable form."""
+    caches = {
+        nid: (
+            ib.eager_sends, ib.rndv_sends,
+            ib.reg_cache.hits, ib.reg_cache.misses,
+            ib.reg_cache.evictions, ib.reg_cache.invalidations,
+            list(ib.reg_cache._entries.items()),  # LRU order included
+            sorted(ib.reg_cache._txn), sorted(ib.reg_cache._poisoned),
+        )
+        for nid, ib in tm._ib.items()
+    }
+    return (
+        dict(tm.stats.bytes_moved), dict(tm.stats.transfers),
+        dict(tm.staged_seconds), sorted(tm._ipc_pairs), caches,
+    )
+
+
+#: one message per transport kind: (kind, src, dst, nbytes, config overrides)
+QUOTE_CASES = [
+    (TransportKind.SELF, 0, 0, 1 * MIB, {}),
+    (TransportKind.SMP_EAGER, 0, 1, 8 * KIB, {}),
+    (TransportKind.HOST_STAGED, 0, 1, 1 * MIB, {}),
+    (TransportKind.CUDA_IPC, 0, 1, 64 * MIB, {"mv2_visible_devices": "all"}),
+    (TransportKind.IB_EAGER, 0, 4, 8 * KIB, {}),
+    (TransportKind.GDR_RDMA, 0, 4, 16 * MIB, {}),
+    (TransportKind.STAGED_INTER, 0, 4, 16 * MIB, {"gdr_enabled": False}),
+]
+MESSAGE = dict(src_buffer=7, dst_buffer=8)
+
+
+def warm_pair(config, src, dst, nbytes, *, new_call):
+    """Two identical transports, each having sent the message once and then
+    another one (so the message's registrations are not the most recently
+    used); with ``new_call`` the next send opens a fresh MPI call."""
+    worlds = []
+    for _ in range(2):
+        _, tm = make_world(2, config=config)
+        tm.begin_collective()
+        tm.cost(src, dst, nbytes, buffer_extent=4 * nbytes, **MESSAGE)
+        tm.cost(src, dst, nbytes, buffer_extent=4 * nbytes,
+                src_buffer=5, dst_buffer=6)
+        if new_call:
+            tm.begin_collective()
+        worlds.append(tm)
+    return worlds
+
+
+class TestQuote:
+    """``quote`` + ``apply`` is an exact, pure-then-apply twin of ``cost``."""
+
+    @pytest.mark.parametrize(
+        "kind,src,dst,nbytes,overrides", QUOTE_CASES,
+        ids=[case[0].value for case in QUOTE_CASES],
+    )
+    @pytest.mark.parametrize("regcache", [True, False], ids=["cache", "no-cache"])
+    @pytest.mark.parametrize("new_call", [True, False], ids=["first", "in-call"])
+    @pytest.mark.parametrize("times", [1, 3])
+    def test_quote_apply_equals_cost(
+        self, kind, src, dst, nbytes, overrides, regcache, new_call, times
+    ):
+        config = Mv2Config(registration_cache=regcache, **overrides)
+        quoted, costed = warm_pair(config, src, dst, nbytes, new_call=new_call)
+        msg = dict(buffer_extent=4 * nbytes, **MESSAGE)
+        before = protocol_state(quoted)
+        quote = quoted.quote(src, dst, nbytes, **msg)
+        assert protocol_state(quoted) == before  # quoting is pure
+        assert quote is not None and quote.kind is kind
+        total = quoted.apply(quote, times)
+        totals = [costed.cost(src, dst, nbytes, **msg) for _ in range(times)]
+        assert totals[0].kind is kind
+        assert total == totals[0].total  # bit-equal, not approximately
+        assert protocol_state(quoted) == protocol_state(costed)
+
+    def test_disabled_receiver_first_advertisement_costs_more(self):
+        config = Mv2Config(registration_cache=False)
+        tm, _ = warm_pair(config, 0, 4, 16 * MIB, new_call=True)
+        quote = tm.quote(0, 4, 16 * MIB, buffer_extent=64 * MIB, **MESSAGE)
+        assert quote.total_first > quote.total
+        assert not quote.settled()
+        assert tm.apply(quote) == quote.total_first
+        assert quote.settled()
+        assert tm.apply(quote) == quote.total
+
+    def test_quote_refuses_unopened_ipc_pair(self):
+        from repro.sim.fastpath import MutationClock
+
+        _, tm = make_world(1, config=Mv2Config(mv2_visible_devices="all"))
+        tm.set_mutation_clock(MutationClock())
+        before = protocol_state(tm)
+        assert tm.quote(0, 1, 64 * MIB) is None
+        assert protocol_state(tm) == before
+        assert tm.mutation_clock.value == 0
+        tm.cost(0, 1, 64 * MIB)
+        assert tm.quote(0, 1, 64 * MIB) is not None
+
+    @pytest.mark.parametrize("case", [
+        "cold-src", "cold-dst", "undersized", "poisoned-src", "poisoned-dst",
+    ])
+    def test_quote_refuses_registration_changes(self, case):
+        from repro.sim.fastpath import MutationClock
+
+        nbytes = 16 * MIB
+        config = Mv2Config(registration_cache=True)
+        tm, _ = warm_pair(config, 0, 4, nbytes, new_call=True)
+        tm.set_mutation_clock(MutationClock())
+        msg = dict(buffer_extent=4 * nbytes, **MESSAGE)
+        assert tm.quote(0, 4, nbytes, **msg) is not None
+        if case == "cold-src":
+            msg["src_buffer"] = 99
+        elif case == "cold-dst":
+            msg["dst_buffer"] = 99
+        elif case == "undersized":
+            msg["buffer_extent"] = 8 * nbytes
+        elif case == "poisoned-src":
+            tm._ib[0].reg_cache.poison(MESSAGE["src_buffer"])
+        else:
+            tm._ib[1].reg_cache.poison(MESSAGE["dst_buffer"])
+        clock = tm.mutation_clock.value
+        before = protocol_state(tm)
+        assert tm.quote(0, 4, nbytes, **msg) is None
+        assert protocol_state(tm) == before
+        assert tm.mutation_clock.value == clock

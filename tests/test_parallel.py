@@ -200,7 +200,7 @@ class TestDigestSeparation:
     def test_salt_bumped(self):
         from repro.perf.digest import CACHE_VERSION_SALT
 
-        assert CACHE_VERSION_SALT == "repro-perf-v9"
+        assert CACHE_VERSION_SALT == "repro-perf-v10"
 
     def test_layouts_never_share_cache_entries(self):
         scn = scenario_by_name("MPI-Opt")

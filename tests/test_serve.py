@@ -432,7 +432,7 @@ class TestSweep:
         # use "scaling-point" — plus the v8 salt guards stale v7 caches
         # (v8: hybrid parallel layouts folded into what a cached point
         # contains)
-        assert CACHE_VERSION_SALT == "repro-perf-v9"
+        assert CACHE_VERSION_SALT == "repro-perf-v10"
         from repro.perf.digest import canonical_json
 
         job = ServeJob(ServeScenario(), duration_s=5.0, seed=7)
