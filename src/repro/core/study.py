@@ -82,9 +82,9 @@ class StudyConfig:
     steady_rel_tol: float = 1e-9
     # Engine execution mode: "exact" walks every collective schedule through
     # the full transport cost model; "fast" attaches the repro.sim.fastpath
-    # trace/replay session, which memoizes each distinct transfer once and
-    # replays recurrences bit-identically (equivalence pinned by
-    # tests/test_engine_equivalence.py).
+    # session, which prices each transfer class once and replays it for
+    # every warm transfer of the class bit-identically (equivalence pinned
+    # by tests/test_engine_equivalence.py).
     engine_mode: str = "exact"
     # Gradient compression spec ("none", "fp16", "bf16", "topk:<ratio>")
     # applied at the Horovod engine's wire boundary; see docs/compression.md.
@@ -517,7 +517,7 @@ class ScalingStudy:
         """
         cfg = self.config
         period = len(plan)
-        world = engine = transport = session = None
+        world = engine = transport = None
         if cluster is not None:
             world, comm = build_backend(
                 cluster,
@@ -529,13 +529,13 @@ class ScalingStudy:
                 ),
                 num_ranks=ranks,
                 # a clean point attaches no injector at all: an attached one
-                # keys the fast path's memo on the simulation clock
+                # pins the transport's class prices to the simulation clock
                 faults=None if recovery is None else recovery.injector,
             )
             if cfg.engine_mode == "fast":
                 from repro.sim.fastpath import enable_fastpath
 
-                session = enable_fastpath(world)
+                enable_fastpath(world)
             if hvprof is not None:
                 comm.add_observer(hvprof.observer)
             engine = HorovodEngine(
@@ -561,7 +561,7 @@ class ScalingStudy:
                 else PeriodicSteadyState(period, *window)
             )
         if recovery is not None:
-            recovery.attach(engine, session, steady)
+            recovery.attach(engine, steady)
         # seeded independently of the scenario so that scenario comparisons
         # (Figs. 10-12) see identical per-step jitter (paired runs)
         rng = SeedSequenceFactory(2021).generator("gradient-jitter", num_gpus)
@@ -751,9 +751,9 @@ class _ElasticRecovery:
         self.saves = 0
         self.clock = 0.0
 
-    def attach(self, engine, session, steady) -> None:
+    def attach(self, engine, steady) -> None:
         """Bind the world the executor built; take the initial snapshot."""
-        self.engine, self.session, self.steady = engine, session, steady
+        self.engine, self.steady = engine, steady
         if self.policy.restart:
             self._checkpoint(0)
 
@@ -771,11 +771,6 @@ class _ElasticRecovery:
     def _rearm(self) -> None:
         if self.steady is not None:
             self.steady.rearm()
-
-    def _world_changed(self) -> None:
-        if self.session is not None:
-            self.session.invalidate()
-        self._rearm()
 
     def before_step(self, records: list[float]) -> float:
         """Absorb the faults due by now; return this step's backward."""
@@ -805,7 +800,7 @@ class _ElasticRecovery:
             )
         if dead:
             self.engine.shrink_to(sorted(live))
-            self._world_changed()
+            self._rearm()
             if policy.restart:
                 self._restart(records)
         if policy.blacklist_after > 0:
@@ -814,7 +809,7 @@ class _ElasticRecovery:
                     live.remove(rank)
                     supervisor.drop(rank)
                     self.engine.shrink_to(sorted(live))
-                    self._world_changed()
+                    self._rearm()
                     self.acct.note_blacklist(rank)
                     injector.record(
                         "rank-blacklisted", self.clock, rank=rank,
@@ -826,7 +821,7 @@ class _ElasticRecovery:
                 live.sort()
                 supervisor.readmit(rank)
                 self.engine.reform_to(list(live))
-                self._world_changed()
+                self._rearm()
                 # the regrown replica's weights ride the re-formed ring:
                 # one comm-layer broadcast of the checkpoint payload,
                 # charged with the restart overhead

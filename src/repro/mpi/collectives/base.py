@@ -219,9 +219,11 @@ class StepCoster:
         self.kernel_model = KernelCostModel(transport.cluster.spec.node.gpu)
         self.cpu = transport.cluster.spec.node.cpu
         # Optional repro.sim.fastpath.FastPathSession; when attached (via
-        # enable_fastpath), analytic walks price transfers through its memo
-        # of quotes instead of the full cost model.
+        # enable_fastpath), analytic walks price warm transfers through
+        # TransportModel.quote instead of the full cost model.
         self.fastpath = None
+        #: (staged?, nbytes, dtype_bytes) -> reduction seconds
+        self._reduce_times: dict[tuple[bool, int, int], float] = {}
 
     # -- reduction compute costs ------------------------------------------------
     def gpu_reduce_time(self, nbytes: int, dtype_bytes: int = FLOAT32_BYTES) -> float:
@@ -234,9 +236,12 @@ class StepCoster:
         self, kind: TransportKind, nbytes: int, dtype_bytes: int = FLOAT32_BYTES
     ) -> float:
         """Reduction executes where the data landed: host for staged paths."""
-        if kind in STAGED_KINDS:
-            return self.host_reduce_time(nbytes, dtype_bytes)
-        return self.gpu_reduce_time(nbytes, dtype_bytes)
+        key = (kind in STAGED_KINDS, nbytes, dtype_bytes)
+        seconds = self._reduce_times.get(key)
+        if seconds is None:
+            reduce = self.host_reduce_time if key[0] else self.gpu_reduce_time
+            seconds = self._reduce_times[key] = reduce(nbytes, dtype_bytes)
+        return seconds
 
     # -- wire corruption (analytic path) -----------------------------------------
     def corruption_active(self) -> bool:
@@ -316,7 +321,7 @@ class StepCoster:
         """Makespan of concurrent transfers under the contention model.
 
         The attached fast-path session prices each transfer when there is
-        one (memo replay), the full cost model otherwise.  Under wire
+        one (class price replay), the full cost model otherwise.  Under wire
         corruption every transfer adds its CRC-detected retransmits, each
         a re-send of that transfer's own plain total.
         """

@@ -79,15 +79,6 @@ class RegistrationCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        # Optional repro.sim.fastpath MutationClock: bumped on every
-        # structural change (insert/evict/re-register/poison/flush) so the
-        # replay memo can tell a pure hit from a state transition.  Pure
-        # hits and disabled-mode acquires leave it untouched.
-        self.clock = None
-
-    def _bump_clock(self) -> None:
-        if self.clock is not None:
-            self.clock.bump()
 
     def begin_transaction(self) -> None:
         """Start a new MPI call scope.
@@ -123,7 +114,6 @@ class RegistrationCache:
             # NOT be reused — tear it down and re-register from scratch
             self._poisoned.discard(buffer_id)
             if reg_bytes is not None:
-                self._bump_clock()
                 del entries[buffer_id]
                 entries[buffer_id] = nbytes
                 if count_stats:
@@ -141,7 +131,6 @@ class RegistrationCache:
             return 0.0
         if count_stats:
             self.misses += 1
-        self._bump_clock()
         time = self.cost.register_time(nbytes)
         if reg_bytes is not None:
             # re-registration at larger extent: drop the old pinning
@@ -194,7 +183,6 @@ class RegistrationCache:
         reg_bytes = self._entries.pop(buffer_id, None)
         if reg_bytes is None:
             return 0.0
-        self._bump_clock()
         self.invalidations += 1
         return self.cost.deregister_time(reg_bytes)
 
@@ -206,14 +194,12 @@ class RegistrationCache:
         deregister and re-register instead of hitting.
         """
         if buffer_id in self._entries:
-            self._bump_clock()
             self._poisoned.add(buffer_id)
             self.invalidations += 1
 
     def invalidate_all(self) -> float:
         """Flush every registration (fault recovery); returns total
         deregistration cost charged."""
-        self._bump_clock()
         time = sum(
             self.cost.deregister_time(nbytes) for nbytes in self._entries.values()
         )

@@ -22,7 +22,6 @@ from repro.sim.engine import (
 from repro.sim.fastpath import (
     EngineMode,
     FastPathSession,
-    MutationClock,
     coerce_engine_mode,
     enable_fastpath,
     fastpath_stats,
@@ -43,7 +42,6 @@ __all__ = [
     "Store",
     "EngineMode",
     "FastPathSession",
-    "MutationClock",
     "coerce_engine_mode",
     "enable_fastpath",
     "fastpath_stats",
