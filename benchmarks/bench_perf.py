@@ -21,8 +21,10 @@ Workloads:
 * **functional_16rank** — a real 16-rank data-parallel training step
   (gradients actually averaged), the end-to-end latency anchor.
 * **event_engine** — event-mode hierarchical allreduce at 16 ranks; its
-  ``simulated events/sec`` is the regression metric compared against the
-  baseline (wall-clock is too machine-dependent to gate on).
+  event count and summed simulated time are machine-independent and
+  checked against the baseline exactly.  Its wall-clock events/sec is
+  reported only: it varies by ±30 % between runs on one host, and more
+  between hosts, so it cannot gate a change.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ def time_functional_step(quick: bool) -> dict:
 
 
 def time_event_engine(quick: bool) -> dict:
-    """Event-mode hierarchical allreduce: the events/sec regression metric."""
+    """Event-mode hierarchical allreduce: events, simulated time, events/sec."""
     iterations = 30 if quick else 100
     num_ranks = 16
     cluster = Cluster(Environment(), LASSEN, num_nodes=num_ranks // 4)
@@ -210,17 +212,24 @@ def time_event_engine(quick: bool) -> dict:
     }
 
 
-def check_baseline(report: dict, baseline_path: str, tolerance: float) -> list[str]:
+def check_baseline(report: dict, baseline_path: str) -> list[str]:
+    """Exact checks of the event engine's machine-independent outputs."""
     with open(baseline_path, "r", encoding="utf-8") as fh:
         baseline = json.load(fh)
+    if baseline.get("quick") != report["quick"]:
+        return [
+            f"baseline {baseline_path} was recorded with quick="
+            f"{baseline.get('quick')}; rerun with the same grid"
+        ]
     failures = []
-    base_rate = baseline.get("events_per_sec")
-    rate = report["events_per_sec"]
-    if base_rate and rate < base_rate * (1.0 - tolerance):
-        failures.append(
-            f"events/sec regressed: {rate:.0f} < {base_rate:.0f} "
-            f"- {tolerance:.0%} tolerance"
-        )
+    base = baseline["workloads"]["event_engine"]
+    got = report["workloads"]["event_engine"]
+    for key in ("events", "simulated_time_s"):
+        if got[key] != base[key]:
+            failures.append(
+                f"event engine {key} drifted: {got[key]!r} != baseline "
+                f"{base[key]!r} (the event engine's work changed)"
+            )
     return failures
 
 
@@ -231,9 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="BENCH_perf.json")
     parser.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1))
     parser.add_argument("--check-baseline", default=None, metavar="PATH",
-                        help="fail if events/sec regresses vs this baseline")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed events/sec regression fraction")
+                        help="fail if the event engine's event count or "
+                        "simulated time differs from this baseline")
     args = parser.parse_args(argv)
 
     workloads = {}
@@ -270,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"[bench_perf] wrote {args.out}")
 
     if args.check_baseline:
-        failures = check_baseline(report, args.check_baseline, args.tolerance)
+        failures = check_baseline(report, args.check_baseline)
         for failure in failures:
             print(f"[bench_perf] FAIL: {failure}", file=sys.stderr)
         if failures:

@@ -364,8 +364,8 @@ def cmd_comm(args: argparse.Namespace) -> int:
     import json
 
     from repro.comm import (
+        BACKENDS,
         TuningConfig,
-        available_backends,
         default_table,
         tune_compression_table,
         tune_table,
@@ -399,7 +399,7 @@ def cmd_comm(args: argparse.Namespace) -> int:
             table = default_table(args.backend)
         print(table.render())
         print(f"table digest: {table.digest()}")
-        print(f"registered backends: {', '.join(available_backends())}")
+        print(f"backends: {', '.join(BACKENDS)}")
     return 0
 
 

@@ -11,20 +11,21 @@ sim-driven autotuner, and unified per-op accounting:
   schedule memo (deduplicated out of the mpi/nccl/horovod layers);
 * :mod:`repro.comm.selection` — (message size × world size) selection
   tables and the process-local active-table registry;
-* :mod:`repro.comm.api` — the :class:`Communicator` protocol and the
-  :class:`RoutedCommunicator` shell the stack talks to;
+* :mod:`repro.comm.api` — :class:`BaseCommunicator`, the contract every
+  backend communicator shares (membership, elastic restrict/reform,
+  validation, accounting, selection-table routing);
 * :mod:`repro.comm.hierarchical` — intra-node NVLink reduce-scatter +
   inter-node IB allreduce + intra-node broadcast backend;
-* :mod:`repro.comm.registry` — backend factories behind one
-  ``build_communicator`` seam (world sizing is strict: no silent
+* :mod:`repro.comm.registry` — ``build_communicator``, the one factory
+  over the three backends (world sizing is strict: no silent
   ``cluster.num_gpus`` fallback);
 * :mod:`repro.comm.tuning` — the autotuner that sweeps candidate
   algorithms per (bytes, ranks) bucket and emits a cached, digest-keyed
   table.
 
-Behavior-preserving by construction: with no active selection table the
-routed communicator passes ``algorithm=None`` and each backend reproduces
-its pre-refactor timings bit-identically (``tests/test_comm_equivalence``).
+With no selection table a communicator passes ``algorithm=None`` and
+each backend's own heuristic picks the algorithm, bit-identically to the
+raw ``world.communicator()`` (``tests/test_comm_equivalence``).
 
 See ``docs/communication.md`` for the layer diagram and table format.
 """
@@ -50,18 +51,11 @@ from repro.comm.selection import (
     install_table_payloads,
     set_active_table,
 )
-from repro.comm.api import (
-    CollectiveOp,
-    Communicator,
-    RoutedCommunicator,
-    broadcast_weights,
-)
+from repro.comm.api import BaseCommunicator, broadcast_weights
 
 _LAZY = {
-    "available_backends": "repro.comm.registry",
+    "BACKENDS": "repro.comm.registry",
     "build_communicator": "repro.comm.registry",
-    "register_backend": "repro.comm.registry",
-    "resolve_world_size": "repro.comm.registry",
     "HierarchicalCommunicator": "repro.comm.hierarchical",
     "HierarchicalWorld": "repro.comm.hierarchical",
     "CANDIDATES": "repro.comm.tuning",
@@ -86,9 +80,7 @@ __all__ = [
     "get_active_table",
     "install_table_payloads",
     "set_active_table",
-    "CollectiveOp",
-    "Communicator",
-    "RoutedCommunicator",
+    "BaseCommunicator",
     "broadcast_weights",
     *sorted(_LAZY),
 ]

@@ -1,141 +1,113 @@
-"""The backend-agnostic communicator surface.
+"""The communicator contract every backend shares.
 
-:class:`CollectiveOp` / :class:`Communicator` name the protocol every
-backend implements (MPI, NCCL, hierarchical); :class:`RoutedCommunicator`
-is the thin routing shell the rest of the stack talks to.  It
-
-* consults the backend's active :class:`~repro.comm.selection.
-  SelectionTable` (when one is installed) to pick the collective
-  algorithm per (message size, world size) — and passes ``algorithm=None``
-  otherwise, so default routing is bit-identical to the pre-refactor
-  backends;
-* records one :class:`~repro.comm.records.CommRecord` per executed
-  collective via the backend's own observer seam, so *every* op —
-  including ones issued on the underlying communicator directly — lands
-  in the unified accounting stream;
-* delegates everything else (restrict/reform, observers, the long tail of
-  MPI-only collectives) to the wrapped backend communicator.
+:class:`BaseCommunicator` holds what the MPI, NCCL and hierarchical
+communicators have in common: membership (``ranks``/``size``), elastic
+``restrict``/``reform`` that carry observers and the selection table over,
+buffer validation, and per-op accounting (``total_comm_time``,
+``op_count``, observer notification — the seam hvprof and the trace
+exporter hook into).  It also holds the
+:class:`~repro.comm.selection.SelectionTable` taken when the communicator
+was built and resolves ``allreduce(algorithm=None)`` through it; with no
+table the backend heuristic decides.  Each subclass keeps its own
+collective bodies (the timing models) and names the error type it raises.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.comm.records import CommRecord
 from repro.comm.selection import SelectionTable
+from repro.errors import CommError
+
+if TYPE_CHECKING:
+    from repro.mpi.collectives.base import CollectiveTiming
+
+#: observer(timing, backend_name), called once per executed collective
+CollectiveObserver = Callable[["CollectiveTiming", str], None]
 
 
-@runtime_checkable
-class CollectiveOp(Protocol):
-    """Return type contract of every collective: a CollectiveTiming-like."""
+class BaseCommunicator:
+    """Membership, elasticity, validation and accounting of a backend."""
 
-    op: str
-    algorithm: str
-    nbytes: int
-    time: float
+    #: the error type this backend raises
+    error: type[Exception] = CommError
 
-
-@runtime_checkable
-class Communicator(Protocol):
-    """What every backend communicator must offer the layers above."""
-
-    @property
-    def size(self) -> int: ...  # pragma: no cover - protocol
-
-    def add_observer(self, observer) -> None: ...  # pragma: no cover
-
-    def allreduce(self, buffers, *args, **kwargs): ...  # pragma: no cover
-
-    def bcast(self, buffers, *, root_index: int = 0): ...  # pragma: no cover
-
-    def barrier(self): ...  # pragma: no cover
-
-    def restrict(self, ranks: Sequence[int]): ...  # pragma: no cover
-
-    def reform(self, ranks: Sequence[int]): ...  # pragma: no cover
-
-
-class RoutedCommunicator:
-    """Table-routing, record-emitting wrapper over a backend communicator."""
-
-    def __init__(self, inner, *, table: SelectionTable | None = None):
-        self.inner = inner
+    def __init__(self, world, ranks: Sequence[int], *,
+                 table: SelectionTable | None = None):
+        self.world = world
+        self.ranks = list(ranks)
         self.table = table
-        self._table_digest = table.digest() if table is not None else None
-        self.records: list[CommRecord] = []
-        # one stable bound-method object: attribute access would mint a new
-        # one each time, defeating the identity check in _rewrap
-        self._recorder = self._record
-        inner.add_observer(self._recorder)
-
-    # -- identity -----------------------------------------------------------
-    @property
-    def backend_name(self) -> str:
-        return self.inner.world.backend_name
+        self.observers: list[CollectiveObserver] = []
+        self.total_comm_time = 0.0
+        self.op_count = 0
 
     @property
     def size(self) -> int:
-        return self.inner.size
+        return len(self.ranks)
 
-    @property
-    def world(self):
-        return self.inner.world
-
-    @property
-    def ranks(self):
-        return self.inner.ranks
-
-    @property
-    def total_comm_time(self) -> float:
-        return self.inner.total_comm_time
-
-    @property
-    def op_count(self) -> int:
-        return self.inner.op_count
-
-    # -- unified accounting -------------------------------------------------
-    def _record(self, timing, backend: str) -> None:
-        self.records.append(
-            CommRecord.from_timing(timing, backend, table_digest=self._table_digest)
-        )
-
-    # -- routed collectives -------------------------------------------------
-    def _route(self, nbytes: int, algorithm: str | None) -> str | None:
-        if algorithm is not None:
-            return algorithm
-        if self.table is None:
-            return None
-        return self.table.lookup(nbytes, self.size)
-
-    def allreduce(self, buffers, *args, **kwargs):
-        algorithm = kwargs.pop("algorithm", None)
-        nbytes = max((b.nbytes for b in buffers), default=0)
-        return self.inner.allreduce(
-            buffers, *args, algorithm=self._route(nbytes, algorithm), **kwargs
-        )
-
-    def bcast(self, buffers, *, root_index: int = 0):
-        return self.inner.bcast(buffers, root_index=root_index)
-
-    def barrier(self):
-        return self.inner.barrier()
+    def add_observer(self, observer: CollectiveObserver) -> None:
+        self.observers.append(observer)
 
     # -- elasticity ---------------------------------------------------------
-    def _rewrap(self, sub) -> "RoutedCommunicator":
-        # the sub-communicator inherited this wrapper's recorder observer;
-        # strip it so the new wrapper's recorder is the only one attached
-        sub.observers = [o for o in sub.observers if o is not self._recorder]
-        return RoutedCommunicator(sub, table=self.table)
+    def restrict(self, ranks: Sequence[int]) -> "BaseCommunicator":
+        """Sub-communicator on a subset of this communicator's ranks
+        (elastic ring shrink after a rank failure)."""
+        missing = set(ranks) - set(self.ranks)
+        if missing:
+            raise self.error(
+                f"cannot restrict to ranks {sorted(missing)} not in "
+                f"communicator {self.ranks}"
+            )
+        if not ranks:
+            raise self.error("cannot restrict a communicator to zero ranks")
+        return self.reform(ranks)
 
-    def restrict(self, ranks: Sequence[int]) -> "RoutedCommunicator":
-        return self._rewrap(self.inner.restrict(ranks))
+    def reform(self, ranks: Sequence[int]) -> "BaseCommunicator":
+        """Communicator over any subset of the *world's* ranks.
 
-    def reform(self, ranks: Sequence[int]) -> "RoutedCommunicator":
-        return self._rewrap(self.inner.reform(ranks))
+        Unlike :meth:`restrict`, the new membership need not be contained
+        in this communicator's — an elastic re-grow re-admits a rank that
+        was dropped earlier.  Observers and the selection table carry over.
+        """
+        ranks = list(ranks)
+        unknown = {r for r in ranks if not 0 <= r < self.world.size}
+        if unknown:
+            raise self.error(
+                f"cannot form a communicator on ranks {sorted(unknown)} "
+                f"outside the {self.world.size}-rank world"
+            )
+        if not ranks:
+            raise self.error("cannot form a communicator over zero ranks")
+        sub = type(self)(self.world, ranks, table=self.table)
+        sub.observers = list(self.observers)
+        return sub
 
-    # -- everything else (observer management, MPI-only collectives) --------
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+    # -- shared collective plumbing -----------------------------------------
+    def _validate(self, buffers) -> int:
+        """The one message size of a collective's per-rank buffers."""
+        if len(buffers) != self.size:
+            raise self.error(
+                f"collective needs {self.size} buffers (one per rank), "
+                f"got {len(buffers)}"
+            )
+        sizes = {b.nbytes for b in buffers}
+        if len(sizes) != 1:
+            raise self.error(
+                f"mismatched buffer sizes across ranks: {sorted(sizes)}"
+            )
+        return sizes.pop()
+
+    def _route(self, nbytes: int, algorithm: str | None) -> str | None:
+        """An explicit algorithm wins; otherwise the table's, if any."""
+        if algorithm is None and self.table is not None:
+            return self.table.lookup(nbytes, self.size)
+        return algorithm
+
+    def _notify(self, timing: "CollectiveTiming") -> None:
+        self.total_comm_time += timing.time
+        self.op_count += 1
+        for observer in self.observers:
+            observer(timing, self.world.backend_name)
 
 
 def broadcast_weights(comm, nbytes: int):

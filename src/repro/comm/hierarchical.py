@@ -21,98 +21,22 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.comm.api import BaseCommunicator
 from repro.errors import CommError
-from repro.hardware.cluster import Cluster
 from repro.hardware.links import LinkKind
 from repro.mpi.collectives.base import CollectiveTiming, ExecutionMode
-from repro.mpi.comm import (
-    CollectiveObserver,
-    GpuBuffer,
-    apply_allreduce,
-    apply_bcast,
-)
+from repro.mpi.comm import GpuBuffer, apply_allreduce, apply_bcast
 from repro.mpi.datatypes import ReduceOp
-from repro.nccl.protocol import DEFAULT_PROTOCOL, NcclProtocol
+from repro.nccl.communicator import NcclWorld, hop_penalty
 
 #: the one algorithm this backend implements
 ALGORITHM = "hier-2level"
 
 
-class HierarchicalWorld:
-    """Two-level backend job state: cluster + protocol envelope + faults."""
-
-    backend_name = "hierarchical"
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        num_ranks: int,
-        protocol: NcclProtocol = DEFAULT_PROTOCOL,
-        *,
-        faults=None,
-    ):
-        if num_ranks < 1:
-            raise CommError(f"num_ranks must be >= 1, got {num_ranks}")
-        if num_ranks > cluster.num_gpus:
-            raise CommError(
-                f"{num_ranks} ranks > {cluster.num_gpus} GPUs in cluster"
-            )
-        self.cluster = cluster
-        self.protocol = protocol
-        self.num_ranks = num_ranks
-        self.faults = faults
-
-    @property
-    def size(self) -> int:
-        return self.num_ranks
-
-    def communicator(self) -> "HierarchicalCommunicator":
-        return HierarchicalCommunicator(self, list(range(self.num_ranks)))
-
-
-class HierarchicalCommunicator:
+class HierarchicalCommunicator(BaseCommunicator):
     """Intra-node reduce-scatter + inter-node allreduce + intra broadcast."""
 
-    def __init__(self, world: HierarchicalWorld, ranks: Sequence[int]):
-        self.world = world
-        self.ranks = list(ranks)
-        self.observers: list[CollectiveObserver] = []
-        self.total_comm_time = 0.0
-        self.op_count = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.ranks)
-
-    def add_observer(self, observer: CollectiveObserver) -> None:
-        self.observers.append(observer)
-
-    # -- elasticity ---------------------------------------------------------
-    def restrict(self, ranks: Sequence[int]) -> "HierarchicalCommunicator":
-        missing = set(ranks) - set(self.ranks)
-        if missing:
-            raise CommError(
-                f"cannot restrict to ranks {sorted(missing)} not in "
-                f"communicator {self.ranks}"
-            )
-        if not ranks:
-            raise CommError("cannot restrict a communicator to zero ranks")
-        sub = HierarchicalCommunicator(self.world, list(ranks))
-        sub.observers = list(self.observers)
-        return sub
-
-    def reform(self, ranks: Sequence[int]) -> "HierarchicalCommunicator":
-        unknown = {r for r in ranks if not 0 <= r < self.world.num_ranks}
-        if unknown:
-            raise CommError(
-                f"cannot form a communicator on ranks {sorted(unknown)} "
-                f"outside the {self.world.num_ranks}-rank world"
-            )
-        if not ranks:
-            raise CommError("cannot form a communicator over zero ranks")
-        sub = HierarchicalCommunicator(self.world, list(ranks))
-        sub.observers = list(self.observers)
-        return sub
+    error = CommError
 
     # -- topology -----------------------------------------------------------
     def _node_groups(self) -> list[list[int]]:
@@ -144,35 +68,16 @@ class HierarchicalCommunicator:
         return nv_bw, nv_alpha, ib_bw, ib_alpha
 
     def _message_delay(self, groups: list[list[int]], now: float, ib_bw: float, ib_alpha: float) -> float:
-        """Injected drop/delay penalty over the inter-node leader ring."""
+        """Message-fault penalty over the inter-node leader ring."""
         faults = self.world.faults
         if faults is None or len(groups) <= 1:
             return 0.0
         leaders = [g[0] for g in groups]
-        delay = 0.0
-        for i, src in enumerate(leaders):
-            dst = leaders[(i + 1) % len(leaders)]
-            verdict = faults.message_verdict(src, dst, now)
-            delay += verdict.delay_s
-            if verdict.severed:
-                from repro.errors import MpiTimeoutError
-                from repro.faults.plan import RetryPolicy
-
-                retry = RetryPolicy()
-                faults.record(
-                    "msg-timeout", now, src=src, dst=dst,
-                    detail="severed leader-ring hop",
-                )
-                raise MpiTimeoutError(
-                    f"leader-ring hop {src}->{dst} path severed "
-                    f"(partition/switch outage); retry budget "
-                    f"({retry.max_retries}) exhausted after "
-                    f"{retry.ladder_time():.6f}s"
-                )
-            if verdict.drop:
-                # one deterministic retransmission of a pipeline chunk
-                delay += ib_alpha + self.world.protocol.chunk_bytes / ib_bw
-        return delay
+        return hop_penalty(
+            faults, zip(leaders, leaders[1:] + leaders[:1]), now,
+            ib_alpha + self.world.protocol.chunk_bytes / ib_bw,
+            ring="leader-ring", detail="severed leader-ring hop",
+        )
 
     # -- timing model -------------------------------------------------------
     def _allreduce_segments(self, nbytes: int) -> dict[str, float]:
@@ -273,22 +178,6 @@ class HierarchicalCommunicator:
         return segments
 
     # -- collective API ------------------------------------------------------
-    def _validate(self, buffers: Sequence[GpuBuffer]) -> int:
-        if len(buffers) != self.size:
-            raise CommError(
-                f"collective needs {self.size} buffers, got {len(buffers)}"
-            )
-        sizes = {b.nbytes for b in buffers}
-        if len(sizes) != 1:
-            raise CommError(f"mismatched buffer sizes: {sorted(sizes)}")
-        return sizes.pop()
-
-    def _notify(self, timing: CollectiveTiming) -> None:
-        self.total_comm_time += timing.time
-        self.op_count += 1
-        for observer in self.observers:
-            observer(timing, self.world.backend_name)
-
     def allreduce(
         self,
         buffers: Sequence[GpuBuffer],
@@ -297,12 +186,13 @@ class HierarchicalCommunicator:
         average: bool = False,
         algorithm: str | None = None,
     ) -> CollectiveTiming:
+        nbytes = self._validate(buffers)
+        algorithm = self._route(nbytes, algorithm)
         if algorithm not in (None, ALGORITHM):
             raise CommError(
                 f"hierarchical backend implements only {ALGORITHM!r}, "
                 f"got {algorithm!r}"
             )
-        nbytes = self._validate(buffers)
         apply_allreduce(buffers, op, average=average)
         segments = (
             self._allreduce_segments(nbytes)
@@ -418,3 +308,10 @@ class HierarchicalCommunicator:
         )
         self._notify(timing)
         return timing
+
+
+class HierarchicalWorld(NcclWorld):
+    """Two-level backend job state: cluster + protocol envelope + faults."""
+
+    backend_name = "hierarchical"
+    communicator_class = HierarchicalCommunicator

@@ -1,10 +1,10 @@
 """Unified per-op communication accounting record.
 
 Every backend's collectives report a :class:`~repro.mpi.collectives.base.
-CollectiveTiming`; observers (hvprof, the routed communicator, trace
-export) normalize it into one :class:`CommRecord` so the profiler bins,
-the Chrome trace exporter, and the selection-table autotuner all consume
-the same shape regardless of which backend executed the op.
+CollectiveTiming`; observers (hvprof, trace export) normalize it into one
+:class:`CommRecord` so the profiler bins, the Chrome trace exporter, and
+the selection-table autotuner all consume the same shape regardless of
+which backend executed the op.
 """
 
 from __future__ import annotations
@@ -28,13 +28,9 @@ class CommRecord:
     time: float
     num_ranks: int = 0
     segments: dict = field(default_factory=dict)
-    #: digest of the selection table that routed this op (None = heuristic)
-    table_digest: str | None = None
 
     @classmethod
-    def from_timing(
-        cls, timing, backend: str, *, table_digest: str | None = None
-    ) -> "CommRecord":
+    def from_timing(cls, timing, backend: str) -> "CommRecord":
         return cls(
             op=timing.op,
             backend=backend,
@@ -43,5 +39,4 @@ class CommRecord:
             time=timing.time,
             num_ranks=getattr(timing, "num_ranks", 0),
             segments=dict(getattr(timing, "segments", None) or {}),
-            table_digest=table_digest,
         )

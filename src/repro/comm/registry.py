@@ -1,11 +1,10 @@
-"""Backend registry: one factory seam for every communication backend.
+"""The one factory over the three communication backends.
 
-``build_communicator`` is what the layers above (Horovod's
-``build_backend``, the scaling study, the CLI) call; backends register a
-factory keyed by name.  The returned communicator is always a
-:class:`~repro.comm.api.RoutedCommunicator` so algorithm-selection tables
-and unified accounting apply uniformly, and ``faults`` is threaded into
-*every* backend's cost envelope (the MPI-only asymmetry is gone).
+``build_communicator`` is what the layers above (the scaling study, the
+hybrid executor, the autotuner, the CLI) call.  It builds the backend's
+world and communicator, threads ``faults`` into *every* backend's cost
+envelope, and hands the communicator the selection table it routes
+``allreduce(algorithm=None)`` through.
 
 World sizing is strict: a backend that needs a rank count gets it from
 ``num_ranks`` or ``world_spec`` explicitly — there is no silent fallback
@@ -15,66 +14,12 @@ simulate the wrong world when both were omitted).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import ConfigError
-from repro.comm.api import RoutedCommunicator
 from repro.comm.selection import SelectionTable, get_active_table
 from repro.mpi.collectives import ExecutionMode
 
-#: name -> factory(cluster, world_spec, num_ranks, mode, faults) -> (world, comm)
-_FACTORIES: dict[str, Callable] = {}
-
-
-def register_backend(name: str, factory: Callable) -> None:
-    """Register (or replace) a backend factory under ``name``."""
-    _FACTORIES[name] = factory
-
-
-def available_backends() -> list[str]:
-    return sorted(_FACTORIES)
-
-
-def resolve_world_size(world_spec, num_ranks, *, backend: str) -> int:
-    """Explicit world sizing or a hard error — never a silent guess."""
-    if num_ranks is not None:
-        return num_ranks
-    if world_spec is not None:
-        return world_spec.num_ranks
-    raise ConfigError(
-        f"{backend!r} backend needs an explicit world size: pass num_ranks "
-        f"or world_spec (refusing to fall back to cluster.num_gpus)"
-    )
-
-
-def _build_mpi(cluster, world_spec, num_ranks, mode, faults):
-    from repro.mpi.comm import MpiWorld
-
-    if world_spec is None:
-        raise ConfigError("MPI backend requires a WorldSpec")
-    world = MpiWorld(cluster, world_spec, mode=mode, faults=faults)
-    return world, world.communicator()
-
-
-def _build_nccl(cluster, world_spec, num_ranks, mode, faults):
-    from repro.nccl.communicator import NcclWorld
-
-    ranks = resolve_world_size(world_spec, num_ranks, backend="nccl")
-    world = NcclWorld(cluster, ranks, faults=faults)
-    return world, world.communicator()
-
-
-def _build_hierarchical(cluster, world_spec, num_ranks, mode, faults):
-    from repro.comm.hierarchical import HierarchicalWorld
-
-    ranks = resolve_world_size(world_spec, num_ranks, backend="hierarchical")
-    world = HierarchicalWorld(cluster, ranks, faults=faults)
-    return world, world.communicator()
-
-
-register_backend("mpi", _build_mpi)
-register_backend("nccl", _build_nccl)
-register_backend("hierarchical", _build_hierarchical)
+#: every backend ``build_communicator`` knows, in display order
+BACKENDS = ("hierarchical", "mpi", "nccl")
 
 
 def build_communicator(
@@ -87,19 +32,40 @@ def build_communicator(
     faults=None,
     table: SelectionTable | None = None,
 ):
-    """Return ``(world, routed_communicator)`` for the requested backend.
+    """Return ``(world, communicator)`` for the requested backend.
 
-    ``table`` overrides the process-wide active selection table for the
-    backend (``repro.comm.selection.set_active_table``); with neither, the
+    MPI requires a :class:`~repro.mpi.process.WorldSpec` (visibility
+    policy + MV2 config); NCCL and the hierarchical backend need an
+    explicit rank count (``num_ranks`` or ``world_spec``).  ``mode`` is the
+    MPI execution mode.  ``table`` overrides the process-wide active
+    selection table for the backend
+    (``repro.comm.selection.set_active_table``); with neither, the
     communicator routes with ``algorithm=None`` and the backend heuristics
-    reproduce pre-refactor timings bit-identically.
+    decide.
     """
-    factory = _FACTORIES.get(backend)
-    if factory is None:
+    if backend not in BACKENDS:
         raise ConfigError(
-            f"unknown backend {backend!r}; available: {available_backends()}"
+            f"unknown backend {backend!r}; available: {list(BACKENDS)}"
         )
-    world, comm = factory(cluster, world_spec, num_ranks, mode, faults)
-    if table is None:
-        table = get_active_table(backend)
-    return world, RoutedCommunicator(comm, table=table)
+    if backend == "mpi":
+        from repro.mpi.comm import MpiWorld
+
+        if world_spec is None:
+            raise ConfigError("MPI backend requires a WorldSpec")
+        world = MpiWorld(cluster, world_spec, mode=mode, faults=faults)
+    else:
+        from repro.comm.hierarchical import HierarchicalWorld
+        from repro.nccl.communicator import NcclWorld
+
+        if num_ranks is None and world_spec is None:
+            raise ConfigError(
+                f"{backend!r} backend needs an explicit world size: pass "
+                f"num_ranks or world_spec (refusing to fall back to "
+                f"cluster.num_gpus)"
+            )
+        ranks = num_ranks if num_ranks is not None else world_spec.num_ranks
+        world_class = NcclWorld if backend == "nccl" else HierarchicalWorld
+        world = world_class(cluster, ranks, faults=faults)
+    comm = world.communicator()
+    comm.table = get_active_table(backend) if table is None else table
+    return world, comm

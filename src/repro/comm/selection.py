@@ -8,9 +8,9 @@ algorithm names bucketed by byte and rank thresholds, either built in
 (mirroring the heuristics the backends already apply) or produced by the
 sim-driven autotuner in :mod:`repro.comm.tuning`.
 
-Tables are *opt-in*: with no active table the routed communicator passes
+Tables are *opt-in*: with no table a communicator passes
 ``algorithm=None`` and every backend falls back to its historical
-heuristic, which is what keeps the refactor bit-identical by default.
+heuristic.
 """
 
 from __future__ import annotations

@@ -85,7 +85,7 @@ def _geometric_edges(points: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _build_sweep_comm(config: TuningConfig, num_ranks: int):
-    """A raw backend communicator sized for one rank-count sweep column."""
+    """A backend communicator sized for one rank-count sweep column."""
     from repro.comm.registry import build_communicator
     from repro.hardware.cluster import build_cluster
 
@@ -267,8 +267,8 @@ def tune_compression_table(
 def default_table(backend: str) -> SelectionTable:
     """The built-in table mirroring each backend's historical heuristic.
 
-    Informational (``repro comm show`` without tuning): the routed
-    communicator does *not* install these by default — it passes
+    Informational (``repro comm show`` without tuning): a communicator
+    does *not* route through these by default — it passes
     ``algorithm=None`` so backends keep their internal heuristics,
     including topology terms (node count, power-of-two) a static
     (bytes, ranks) grid cannot express.

@@ -27,6 +27,7 @@ from repro.core.calibration import (
     TRAIN_BATCH_PER_GPU,
 )
 from repro.comm.api import broadcast_weights
+from repro.comm.registry import build_communicator
 from repro.compression import CompressionConfig
 from repro.core.scenarios import IMAGE_SPEC, Scenario, ScenarioSpec
 from repro.errors import ConfigError
@@ -36,7 +37,6 @@ from repro.horovod.coordinator import straggler_factor
 from repro.horovod.engine import HorovodEngine, StepTiming
 from repro.horovod.env import HorovodConfig
 from repro.horovod.fusion import PendingTensor
-from repro.horovod.backend import build_backend
 from repro.models.costing import ModelCostModel, ThroughputModel, TrainingMemoryModel
 from repro.models.registry import get_model_cost, get_scenario_cost
 from repro.mpi.process import WorldSpec
@@ -519,7 +519,7 @@ class ScalingStudy:
         period = len(plan)
         world = engine = transport = None
         if cluster is not None:
-            world, comm = build_backend(
+            world, comm = build_communicator(
                 cluster,
                 self.scenario.backend,
                 world_spec=WorldSpec(

@@ -11,10 +11,11 @@ Profilers subscribe as observers — this is the seam ``hvprof`` hooks into.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.comm.api import BaseCommunicator
 from repro.cuda.memory import DeviceAllocation
 from repro.errors import MpiError
 from repro.hardware.cluster import Cluster
@@ -83,9 +84,6 @@ class GpuBuffer:
         return self.nbytes // self.dtype.size
 
 
-CollectiveObserver = Callable[[CollectiveTiming, str], None]
-
-
 def apply_allreduce(
     buffers: Sequence[GpuBuffer], op: ReduceOp, *, average: bool = False
 ) -> None:
@@ -152,56 +150,10 @@ class MpiWorld:
         return self.transport.regcache_stats()
 
 
-class Communicator:
+class Communicator(BaseCommunicator):
     """MPI communicator over a subset of world ranks (lock-step SPMD API)."""
 
-    def __init__(self, world: MpiWorld, ranks: Sequence[int]):
-        self.world = world
-        self.ranks = list(ranks)
-        self.observers: list[CollectiveObserver] = []
-        self.total_comm_time = 0.0
-        self.op_count = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.ranks)
-
-    def add_observer(self, observer: CollectiveObserver) -> None:
-        self.observers.append(observer)
-
-    def restrict(self, ranks: Sequence[int]) -> "Communicator":
-        """Sub-communicator on a subset of this communicator's ranks
-        (elastic ring shrink after a rank failure).  Observers carry over."""
-        missing = set(ranks) - set(self.ranks)
-        if missing:
-            raise MpiError(
-                f"cannot restrict to ranks {sorted(missing)} not in "
-                f"communicator {self.ranks}"
-            )
-        if not ranks:
-            raise MpiError("cannot restrict a communicator to zero ranks")
-        return self.reform(ranks)
-
-    def reform(self, ranks: Sequence[int]) -> "Communicator":
-        """Communicator over any subset of the *world's* ranks.
-
-        Unlike :meth:`restrict`, the new membership need not be contained
-        in this communicator's — an elastic re-grow re-admits a rank that
-        was dropped earlier, as long as its process context still exists
-        in the world.  Observers carry over either way.
-        """
-        world_ranks = {r.rank for r in self.world.ranks}
-        unknown = set(ranks) - world_ranks
-        if unknown:
-            raise MpiError(
-                f"cannot form a communicator on ranks {sorted(unknown)} "
-                f"absent from the world {sorted(world_ranks)}"
-            )
-        if not ranks:
-            raise MpiError("cannot form a communicator over zero ranks")
-        sub = Communicator(self.world, list(ranks))
-        sub.observers = list(self.observers)
-        return sub
+    error = MpiError
 
     def split_by_node(self) -> list["Communicator"]:
         """One sub-communicator per node (like MPI_Comm_split_type)."""
@@ -211,27 +163,11 @@ class Communicator:
         return [Communicator(self.world, g) for _, g in sorted(by_node.items())]
 
     # -- internal ------------------------------------------------------------
-    def _validate(self, buffers: Sequence[GpuBuffer]) -> int:
-        if len(buffers) != self.size:
-            raise MpiError(
-                f"collective needs {self.size} buffers (one per rank), got {len(buffers)}"
-            )
-        sizes = {b.nbytes for b in buffers}
-        if len(sizes) != 1:
-            raise MpiError(f"mismatched buffer sizes across ranks: {sorted(sizes)}")
-        return sizes.pop()
-
     def _buffer_ids(self, buffers: Sequence[GpuBuffer]) -> dict[int, int]:
         return {rank: buf.buffer_id for rank, buf in zip(self.ranks, buffers)}
 
     def _begin(self) -> None:
         self.world.transport.begin_collective()
-
-    def _notify(self, timing: CollectiveTiming) -> None:
-        self.total_comm_time += timing.time
-        self.op_count += 1
-        for observer in self.observers:
-            observer(timing, self.world.backend_name)
 
     # -- collectives --------------------------------------------------------------
     def allreduce(
@@ -251,7 +187,7 @@ class Communicator:
             self.ranks,
             nbytes,
             buffer_ids=self._buffer_ids(buffers),
-            algorithm=algorithm,
+            algorithm=self._route(nbytes, algorithm),
             dtype_bytes=buffers[0].dtype.size,
         )
         self._notify(timing)

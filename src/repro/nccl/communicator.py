@@ -19,98 +19,59 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.comm.api import BaseCommunicator
 from repro.errors import NcclError
 from repro.hardware.cluster import Cluster
 from repro.hardware.links import LinkKind
 from repro.mpi.collectives.base import CollectiveTiming, ExecutionMode
-from repro.mpi.comm import (
-    CollectiveObserver,
-    GpuBuffer,
-    apply_allreduce,
-    apply_bcast,
-)
+from repro.mpi.comm import GpuBuffer, apply_allreduce, apply_bcast
 from repro.mpi.datatypes import ReduceOp
 from repro.nccl.protocol import DEFAULT_PROTOCOL, NcclProtocol
 from repro.nccl.rings import build_ring, ring_bandwidth, ring_hop_latency
 
 
-class NcclWorld:
-    """NCCL job state: cluster + protocol; visibility policies do not apply."""
+def hop_penalty(
+    faults, hops, now: float, retransmit_s: float, *,
+    ring: str, detail: str, nbytes: int | None = None,
+) -> float:
+    """Injected message-fault penalty over an envelope's network hops.
 
-    backend_name = "nccl"
+    Mirrors the MPI transport's per-message verdicts at envelope
+    granularity: each (src, dst) hop is consulted once per collective at
+    ``now``; delays accumulate hop by hop, and a drop costs one
+    deterministic retransmission (``retransmit_s``, a pipeline chunk).  A
+    *severed* hop (partition / switch outage) can never succeed: the
+    sender waits out the whole retry ladder, then the collective raises
+    :class:`~repro.errors.MpiTimeoutError` after one ``msg-timeout``
+    record — surfaced, not a hang.  ``ring`` names the hop in the error,
+    ``nbytes`` (if given) its payload, and ``detail`` is the record text.
+    """
+    delay = 0.0
+    for src, dst in hops:
+        verdict = faults.message_verdict(src, dst, now)
+        delay += verdict.delay_s
+        if verdict.severed:
+            from repro.errors import MpiTimeoutError
+            from repro.faults.plan import RetryPolicy
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        num_ranks: int,
-        protocol: NcclProtocol = DEFAULT_PROTOCOL,
-        *,
-        faults=None,
-    ):
-        if num_ranks < 1:
-            raise NcclError(f"num_ranks must be >= 1, got {num_ranks}")
-        if num_ranks > cluster.num_gpus:
-            raise NcclError(
-                f"{num_ranks} ranks > {cluster.num_gpus} GPUs in cluster"
+            retry = RetryPolicy()
+            faults.record("msg-timeout", now, src=src, dst=dst, detail=detail)
+            payload = "" if nbytes is None else f" ({nbytes}B)"
+            raise MpiTimeoutError(
+                f"{ring} hop {src}->{dst}{payload} path severed "
+                f"(partition/switch outage); retry budget "
+                f"({retry.max_retries}) exhausted after "
+                f"{retry.ladder_time():.6f}s"
             )
-        self.cluster = cluster
-        self.protocol = protocol
-        self.num_ranks = num_ranks
-        self.faults = faults
-
-    @property
-    def size(self) -> int:
-        return self.num_ranks
-
-    def communicator(self) -> "NcclCommunicator":
-        return NcclCommunicator(self, list(range(self.num_ranks)))
+        if verdict.drop:
+            delay += retransmit_s
+    return delay
 
 
-class NcclCommunicator:
+class NcclCommunicator(BaseCommunicator):
     """Ring/tree-based collectives with NCCL cost envelope."""
 
-    def __init__(self, world: NcclWorld, ranks: Sequence[int]):
-        self.world = world
-        self.ranks = list(ranks)
-        self.observers: list[CollectiveObserver] = []
-        self.total_comm_time = 0.0
-        self.op_count = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.ranks)
-
-    def add_observer(self, observer: CollectiveObserver) -> None:
-        self.observers.append(observer)
-
-    def restrict(self, ranks: Sequence[int]) -> "NcclCommunicator":
-        """Sub-communicator on surviving ranks (elastic ring shrink)."""
-        missing = set(ranks) - set(self.ranks)
-        if missing:
-            raise NcclError(
-                f"cannot restrict to ranks {sorted(missing)} not in "
-                f"communicator {self.ranks}"
-            )
-        if not ranks:
-            raise NcclError("cannot restrict a communicator to zero ranks")
-        sub = NcclCommunicator(self.world, list(ranks))
-        sub.observers = list(self.observers)
-        return sub
-
-    def reform(self, ranks: Sequence[int]) -> "NcclCommunicator":
-        """Communicator over any subset of the world's ranks (elastic
-        shrink or re-grow).  Observers carry over."""
-        unknown = {r for r in ranks if not 0 <= r < self.world.num_ranks}
-        if unknown:
-            raise NcclError(
-                f"cannot form a communicator on ranks {sorted(unknown)} "
-                f"outside the {self.world.num_ranks}-rank world"
-            )
-        if not ranks:
-            raise NcclError("cannot form a communicator over zero ranks")
-        sub = NcclCommunicator(self.world, list(ranks))
-        sub.observers = list(self.observers)
-        return sub
+    error = NcclError
 
     # -- timing models ----------------------------------------------------------
     def _node_count(self) -> int:
@@ -128,49 +89,24 @@ class NcclCommunicator:
         return faults.link_state(kind, self._now())
 
     def _message_delay(self, nbytes: int) -> float:
-        """Injected message-fault penalty over the ring's inter-node hops.
-
-        Mirrors the MPI transport's per-message verdicts at envelope
-        granularity: each inter-node (src, dst) hop is consulted once per
-        collective; delays accumulate, and a drop costs one deterministic
-        retransmission of a pipeline chunk.  A *severed* hop (partition /
-        switch outage) can never succeed: the sender waits out the whole
-        retry ladder, then the collective raises
-        :class:`~repro.errors.MpiTimeoutError` — surfaced, not a hang.
-        """
+        """Message-fault penalty over the ring's inter-node hops."""
         faults = self.world.faults
         if faults is None or len(self.ranks) <= 1 or nbytes == 0:
             return 0.0
         cluster = self.world.cluster
         proto = self.world.protocol
         ring = build_ring(cluster, self.ranks)
-        p = len(ring)
-        delay = 0.0
-        for i, rank in enumerate(ring):
-            nxt = ring[(i + 1) % p]
-            if cluster.gpu_ref(rank).node == cluster.gpu_ref(nxt).node:
-                continue
-            verdict = faults.message_verdict(rank, nxt, self._now())
-            delay += verdict.delay_s
-            if verdict.severed:
-                from repro.errors import MpiTimeoutError
-                from repro.faults.plan import RetryPolicy
-
-                retry = RetryPolicy()
-                faults.record(
-                    "msg-timeout", self._now(), src=rank, dst=nxt,
-                    detail=f"{nbytes}B severed ring hop",
-                )
-                raise MpiTimeoutError(
-                    f"ring hop {rank}->{nxt} ({nbytes}B) path severed "
-                    f"(partition/switch outage); retry budget "
-                    f"({retry.max_retries}) exhausted after "
-                    f"{retry.ladder_time():.6f}s"
-                )
-            if verdict.drop:
-                ib_bw = cluster.spec.ib.bandwidth * proto.ib_efficiency
-                delay += proto.inter_step_latency_s + proto.chunk_bytes / ib_bw
-        return delay
+        hops = [
+            (rank, nxt)
+            for rank, nxt in zip(ring, ring[1:] + ring[:1])
+            if cluster.gpu_ref(rank).node != cluster.gpu_ref(nxt).node
+        ]
+        ib_bw = cluster.spec.ib.bandwidth * proto.ib_efficiency
+        return hop_penalty(
+            faults, hops, self._now(),
+            proto.inter_step_latency_s + proto.chunk_bytes / ib_bw,
+            ring="ring", nbytes=nbytes, detail=f"{nbytes}B severed ring hop",
+        )
 
     def _ring_allreduce_time(self, nbytes: int) -> float:
         p = len(self.ranks)
@@ -303,22 +239,6 @@ class NcclCommunicator:
         )
 
     # -- collective API ------------------------------------------------------------
-    def _validate(self, buffers: Sequence[GpuBuffer]) -> int:
-        if len(buffers) != self.size:
-            raise NcclError(
-                f"collective needs {self.size} buffers, got {len(buffers)}"
-            )
-        sizes = {b.nbytes for b in buffers}
-        if len(sizes) != 1:
-            raise NcclError(f"mismatched buffer sizes: {sorted(sizes)}")
-        return sizes.pop()
-
-    def _notify(self, timing: CollectiveTiming) -> None:
-        self.total_comm_time += timing.time
-        self.op_count += 1
-        for observer in self.observers:
-            observer(timing, self.world.backend_name)
-
     def allreduce(
         self,
         buffers: Sequence[GpuBuffer],
@@ -329,7 +249,7 @@ class NcclCommunicator:
     ) -> CollectiveTiming:
         nbytes = self._validate(buffers)
         apply_allreduce(buffers, op, average=average)
-        time, algo = self._allreduce_time(nbytes, algorithm)
+        time, algo = self._allreduce_time(nbytes, self._route(nbytes, algorithm))
         timing = CollectiveTiming(
             "allreduce", algo, nbytes, self.size, time, ExecutionMode.ANALYTIC
         )
@@ -383,3 +303,40 @@ class NcclCommunicator:
         )
         self._notify(timing)
         return timing
+
+
+class NcclWorld:
+    """NCCL job state: cluster + protocol; visibility policies do not apply.
+
+    The hierarchical backend reuses it with its own communicator class.
+    """
+
+    backend_name = "nccl"
+    communicator_class = NcclCommunicator
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        num_ranks: int,
+        protocol: NcclProtocol = DEFAULT_PROTOCOL,
+        *,
+        faults=None,
+    ):
+        error = self.communicator_class.error
+        if num_ranks < 1:
+            raise error(f"num_ranks must be >= 1, got {num_ranks}")
+        if num_ranks > cluster.num_gpus:
+            raise error(
+                f"{num_ranks} ranks > {cluster.num_gpus} GPUs in cluster"
+            )
+        self.cluster = cluster
+        self.protocol = protocol
+        self.num_ranks = num_ranks
+        self.faults = faults
+
+    @property
+    def size(self) -> int:
+        return self.num_ranks
+
+    def communicator(self):
+        return self.communicator_class(self, range(self.num_ranks))

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.comm.registry import build_communicator
 from repro.core.calibration import OPTIMIZER_BYTES_PER_PARAM
 from repro.errors import ConfigError, HardwareError
 from repro.hardware.cluster import build_cluster
 from repro.hardware.specs import ClusterSpec
-from repro.horovod.backend import build_backend
 from repro.horovod.coordinator import straggler_factor
 from repro.models.costing import (
     ModelCostModel,
@@ -140,7 +140,7 @@ class HybridExecutor:
             zero = [0.0] * len(stages)
             return zero, list(zero), list(zero)
         cluster = build_cluster(self.study.config.cluster, tp)
-        _, comm = build_backend(cluster, "hierarchical", num_ranks=tp)
+        _, comm = build_communicator(cluster, "hierarchical", num_ranks=tp)
         ag_memo: dict[int, float] = {}
         rs_memo: dict[int, float] = {}
         fwd, bwd, sync = [], [], []
